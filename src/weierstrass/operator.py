@@ -83,11 +83,58 @@ class OperatorData:
 
 def distances(z: Sequence[complex]) -> tuple[tuple[float, ...], float]:
     """Per-coordinate nearest-neighbour distances d_i = min_{j != i} |z_i - z_j|
-    and their overall minimum delta."""
+    and their overall minimum delta.
+
+    A plane sweep over the points sorted by real part: from each point it
+    scans outward in both directions and stops once the real-part gap reaches
+    the best distance so far, which is exact because |z_i - z_j| >=
+    |Re(z_i - z_j)|. Every d_i is a minimum over the same separations as the
+    all-pairs formula, so the result is bit-identical to it. Non-finite
+    coordinates, and a pair closer than COINCIDENCE_FLOOR, fall back to the
+    all-pairs scan, which raises for the first coincident pair in index order.
+    """
     pts = [complex(c) for c in z]
     n = len(pts)
     if n < 2:
         raise ValueError("need at least 2 coordinates")
+    if all(map(cmath.isfinite, pts)):
+        d = _sweep_distances(pts)
+        if min(d) >= COINCIDENCE_FLOOR:
+            return tuple(d), min(d)
+    d = _all_pairs_distances(pts)
+    return tuple(d), min(d)
+
+
+def _sweep_distances(pts: list[complex]) -> list[float]:
+    n = len(pts)
+    order = sorted(range(n), key=lambda k: pts[k].real)
+    xs = [pts[k] for k in order]
+    res = [x.real for x in xs]
+    d = [math.inf] * n
+    # res[b] - ra is, up to sign, the computed real part of za - xs[b], and the
+    # computed abs() of a complex never falls below that part's modulus: a
+    # break skips no closer point, in rounded arithmetic too.
+    for a in range(n):
+        za, ra = xs[a], res[a]
+        best = math.inf
+        b = a + 1
+        while b < n and res[b] - ra < best:
+            sep = abs(za - xs[b])
+            if sep < best:
+                best = sep
+            b += 1
+        b = a - 1
+        while b >= 0 and ra - res[b] < best:
+            sep = abs(za - xs[b])
+            if sep < best:
+                best = sep
+            b -= 1
+        d[order[a]] = best
+    return d
+
+
+def _all_pairs_distances(pts: list[complex]) -> list[float]:
+    n = len(pts)
     d = [math.inf] * n
     for i in range(n):
         for j in range(i + 1, n):
@@ -100,30 +147,39 @@ def distances(z: Sequence[complex]) -> tuple[tuple[float, ...], float]:
                 d[i] = sep
             if sep < d[j]:
                 d[j] = sep
-    return tuple(d), min(d)
+    return d
 
 
 def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]:
     """W_i(z) = f(z_i) / prod_{j != i} (z_i - z_j).
 
     Vanishes exactly when z is a root vector of f. Denominators are direct
-    products; overflow or a vanished product raises NonFiniteValue.
+    products, built in one pass over the pairs i < j: each difference is
+    formed once and multiplied into den_i as z_i - z_j and into den_j as
+    z_j - z_i. Every den_i still takes its factors in ascending j, so the
+    result is bit-identical to the row-by-row formula. W_i is formed as soon
+    as den_i is complete, so the first coincident pair in index order is
+    reported before any later coordinate's NonFiniteValue. Overflow or a
+    vanished product raises NonFiniteValue.
     """
     pts = [complex(c) for c in z]
-    if len(pts) != poly.degree:
-        raise ValueError(f"point has {len(pts)} coordinates, polynomial degree is {poly.degree}")
+    n = len(pts)
+    if n != poly.degree:
+        raise ValueError(f"point has {n} coordinates, polynomial degree is {poly.degree}")
+    dens = [1 + 0j] * n
     w = []
     for i, zi in enumerate(pts):
-        den = 1 + 0j
-        for j, zj in enumerate(pts):
-            if j == i:
-                continue
+        den = dens[i]
+        for j in range(i + 1, n):
+            zj = pts[j]
             diff = zi - zj
             if abs(diff) < COINCIDENCE_FLOOR:
                 raise DistinctCoordinatesViolated(
                     f"coordinates {i} and {j} coincide (separation {abs(diff):.3g})"
                 )
             den *= diff
+            # z_j - z_i, not -diff: the two differ in the sign of a zero part.
+            dens[j] *= zj - zi
         try:
             wi = poly.evaluate(zi) / den
         except ZeroDivisionError:
