@@ -71,6 +71,18 @@ def _as_complex(value: Any, where: str) -> complex:
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
+def _reject_non_finite(value: Any, where: str) -> None:
+    """JSON's NaN and Infinity literals parse to floats; no problem field takes them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{i}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}" if where else key)
+
+
 def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
@@ -98,6 +110,7 @@ def parse_problem(doc: Any) -> Problem:
     unknown = set(doc) - _PROBLEM_KEYS
     if unknown:
         raise ParseError(f"unknown keys: {sorted(unknown)}")
+    _reject_non_finite(doc, "")
     has_coeffs = "coefficients" in doc
     has_roots = "roots" in doc
     if has_coeffs == has_roots:

@@ -233,3 +233,23 @@ def test_integer_p_matches_float_p():
     b = parse_problem(dict(WALKTHROUGH, p=2.0))
     assert a.options.p == b.options.p
     assert a.echo["p"] == b.echo["p"] == 2.0
+
+
+NON_FINITE = [
+    ("initial[0][0]", '{"roots": [[1, 0], [-1, 0]], "initial": [[NaN, 0], [-2, 0]]}'),
+    ("roots[1][1]", '{"roots": [[1, 0], [-1, Infinity]], "initial": [[2, 0], [-2, 0]]}'),
+    ("coefficients[0]", '{"coefficients": [-Infinity, 0], "initial": [[2, 0], [-2, 0]]}'),
+    ("initial.perturb_roots", '{"roots": [[1, 0], [-1, 0]], "initial": {"perturb_roots": Infinity}}'),
+    ("p", '{"roots": [[1, 0], [-1, 0]], "initial": [[2, 0], [-2, 0]], "p": Infinity}'),
+    ("tol_e", '{"roots": [[1, 0], [-1, 0]], "initial": [[2, 0], [-2, 0]], "tol_e": NaN}'),
+]
+
+
+@pytest.mark.parametrize("field, text", NON_FINITE, ids=[field for field, _ in NON_FINITE])
+def test_non_finite_numbers_are_rejected_at_parse_time(tmp_path, capsys, field, text):
+    path = tmp_path / "problem.json"
+    path.write_text(text + "\n")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field}: expected a finite number")
