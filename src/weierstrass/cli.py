@@ -72,9 +72,17 @@ def _as_complex(value: Any, where: str) -> complex:
 
 
 def _reject_non_finite(value: Any, where: str) -> None:
-    """JSON's NaN and Infinity literals parse to floats; no problem field takes them."""
+    """Reject JSON's NaN and Infinity literals, and integers too large for a
+    double, which no problem field can take."""
     if isinstance(value, float) and not math.isfinite(value):
         raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ParseError(
+                f"{where}: expected a finite number, got an integer beyond the double range"
+            )
     if isinstance(value, list):
         for i, item in enumerate(value):
             _reject_non_finite(item, f"{where}[{i}]")

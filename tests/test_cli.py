@@ -242,6 +242,7 @@ NON_FINITE = [
     ("initial.perturb_roots", '{"roots": [[1, 0], [-1, 0]], "initial": {"perturb_roots": Infinity}}'),
     ("p", '{"roots": [[1, 0], [-1, 0]], "initial": [[2, 0], [-2, 0]], "p": Infinity}'),
     ("tol_e", '{"roots": [[1, 0], [-1, 0]], "initial": [[2, 0], [-2, 0]], "tol_e": NaN}'),
+    ("initial[1][1]", '{"roots": [[1, 0], [-1, 0]], "initial": [[2, 0], [-2, 1%s]]}' % ("0" * 400)),
 ]
 
 
