@@ -270,11 +270,14 @@ def threshold_petkovic_herceg(n: int) -> float:
     return 1.0 / (PETKOVIC_HERCEG_SLOPE * n + PETKOVIC_HERCEG_OFFSET)
 
 
+@lru_cache(maxsize=None)
 def c_wangzhao_inf(n: int) -> float:
     """Wang-Zhao max-norm constant C(n) = max over x > 0 of (2x - x(1+x)^(n-1)).
 
     The maximizer t is the root of the derivative inside (0, 2^(1/(n-1)) - 1);
     the result is cross-checked against the closed form 2(n-1)t^2/(1+nt).
+    A pure function of n, so it is memoized: each degree is solved once per
+    process and later calls return the same float.
     """
     _check_degree(n)
     upper = 2.0 ** (1.0 / (n - 1)) - 1.0
@@ -294,12 +297,14 @@ def c_wangzhao_inf(n: int) -> float:
     return value
 
 
+@lru_cache(maxsize=None)
 def c_wangzhao_l1(n: int) -> float:
     """Wang-Zhao sum-norm constant C(n) = -min over x > 0 of f_n(x), n >= 4,
 
     where f_n(x) = sum_{j=1}^{n-1} ((n-j)/(j! n)) x^(j+1) - x. The objective is
     strictly convex, so a coarse scan of (0, 3] brackets the minimum for the
-    golden-section search.
+    golden-section search. A pure function of n, so it is memoized: each
+    degree is searched once per process and later calls return the same float.
     """
     if n < 4:
         raise DomainViolation(f"this constant is defined for n >= 4, got {n}")

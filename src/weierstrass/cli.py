@@ -494,8 +494,16 @@ _TEXT_RENDERERS = {
 
 
 def _emit(command: str, report: dict, output: str) -> None:
+    """Print one report; JSON output is always exactly json.dumps(_encode(report))."""
     if output == "json":
-        print(json.dumps(_encode(report)))
+        # Without non-finite floats, _encode changes nothing json.dumps would
+        # print differently (tuples already encode as lists), so its walk is
+        # needed only when the strict encoder refuses the report.
+        try:
+            text = json.dumps(report, allow_nan=False)
+        except (TypeError, ValueError):
+            text = json.dumps(_encode(report))
+        print(text)
     else:
         print(_TEXT_RENDERERS[command](report))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -14,6 +15,8 @@ from .polynomial import Polynomial
 #: Coordinate pairs closer than this are rejected outright: the difference is
 #: mathematically legal but its reciprocal products overflow double precision.
 COINCIDENCE_FLOOR = 1e-300
+
+_MIN_NORMAL = sys.float_info.min
 
 PointVector = tuple[complex, ...]
 
@@ -57,7 +60,9 @@ def as_norm(p: NormLike) -> NormIndex:
 def p_norm(v: Sequence[complex], p: NormLike) -> float:
     """||v||_p = (sum |v_i|^p)^(1/p), with the max modulus for p = inf.
 
-    Overflow in the power sum yields inf rather than an exception.
+    A power sum that is zero, subnormal or overflows is recomputed scaled by
+    the max modulus m, as m (sum (|v_i|/m)^p)^(1/p); otherwise, and always at
+    p = 1 and p = inf, the result is the unscaled formula's, bit for bit.
     """
     norm = as_norm(p)
     if math.isinf(norm.p):
@@ -65,9 +70,15 @@ def p_norm(v: Sequence[complex], p: NormLike) -> float:
     if norm.p == 1:
         return sum(abs(x) for x in v)
     try:
-        return sum(abs(x) ** norm.p for x in v) ** (1.0 / norm.p)
+        total = sum(abs(x) ** norm.p for x in v)
     except OverflowError:
-        return math.inf
+        total = math.inf
+    if total < _MIN_NORMAL or total == math.inf:
+        top = max((abs(x) for x in v), default=0.0)
+        if not 0.0 < top < math.inf:
+            return top
+        return top * sum((abs(x) / top) ** norm.p for x in v) ** (1.0 / norm.p)
+    return total ** (1.0 / norm.p)
 
 
 @dataclass(frozen=True)
@@ -85,13 +96,15 @@ def distances(z: Sequence[complex]) -> tuple[tuple[float, ...], float]:
     """Per-coordinate nearest-neighbour distances d_i = min_{j != i} |z_i - z_j|
     and their overall minimum delta.
 
-    A plane sweep over the points sorted by real part: from each point it
-    scans outward in both directions and stops once the real-part gap reaches
-    the best distance so far, which is exact because |z_i - z_j| >=
-    |Re(z_i - z_j)|. Every d_i is a minimum over the same separations as the
-    all-pairs formula, so the result is bit-identical to it. Non-finite
-    coordinates, and a pair closer than COINCIDENCE_FLOOR, fall back to the
-    all-pairs scan, which raises for the first coincident pair in index order.
+    A plane sweep along the axis (real or imaginary) over which the points
+    spread wider: from each point in sorted order it scans outward in both
+    directions and stops once the gap along that axis reaches the best
+    distance so far, which is exact because |z_i - z_j| is at least the
+    modulus of either part of z_i - z_j. Every d_i is a minimum over the same
+    separations as the all-pairs formula, so the result is bit-identical to
+    it. Non-finite coordinates, and a pair closer than COINCIDENCE_FLOOR, fall
+    back to the all-pairs scan, which raises for the first coincident pair in
+    index order.
     """
     pts = [complex(c) for c in z]
     n = len(pts)
@@ -107,12 +120,15 @@ def distances(z: Sequence[complex]) -> tuple[tuple[float, ...], float]:
 
 def _sweep_distances(pts: list[complex]) -> list[float]:
     n = len(pts)
-    order = sorted(range(n), key=lambda k: pts[k].real)
+    re = [z.real for z in pts]
+    im = [z.imag for z in pts]
+    keys = im if max(im) - min(im) > max(re) - min(re) else re
+    order = sorted(range(n), key=keys.__getitem__)
     xs = [pts[k] for k in order]
-    res = [x.real for x in xs]
+    res = [keys[k] for k in order]
     d = [math.inf] * n
-    # res[b] - ra is, up to sign, the computed real part of za - xs[b], and the
-    # computed abs() of a complex never falls below that part's modulus: a
+    # res[b] - ra is, up to sign, the computed swept part of za - xs[b], and
+    # the computed abs() of a complex never falls below that part's modulus: a
     # break skips no closer point, in rounded arithmetic too.
     for a in range(n):
         za, ra = xs[a], res[a]

@@ -67,10 +67,13 @@ class Polynomial:
             raise DegreeTooSmall(f"need at least 2 roots, got {len(pts)}")
         if len(pts) > max_degree:
             raise DegreeTooLarge(f"degree {len(pts)} exceeds cap {max_degree}")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i] == pts[j]:
-                    raise DuplicateRoots(f"roots {i} and {j} are both {pts[i]}")
+        # Equal complexes hash equally (0.0 and -0.0 included), so the set
+        # misses no duplicate; the pairwise scan only names the first one.
+        if len(set(pts)) < len(pts):
+            for i in range(len(pts)):
+                for j in range(i + 1, len(pts)):
+                    if pts[i] == pts[j]:
+                        raise DuplicateRoots(f"roots {i} and {j} are both {pts[i]}")
         # Iterated multiplication by (z - r); `full` holds the complete ascending
         # coefficient list including the leading 1.
         full = [1 + 0j]

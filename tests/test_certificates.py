@@ -310,6 +310,20 @@ def test_wang_zhao_l1_constants():
         c_wangzhao_l1(3)
 
 
+def test_memoized_wang_zhao_constants_equal_a_fresh_computation():
+    for n in range(4, 41):
+        assert c_wangzhao_inf(n) == c_wangzhao_inf.__wrapped__(n)
+        assert c_wangzhao_l1(n) == c_wangzhao_l1.__wrapped__(n)
+
+
+def test_radius_table_returns_fresh_lists():
+    entries, omitted = radius_table(12, 1)
+    expected = (list(entries), list(omitted))
+    entries.clear()
+    omitted.append(("bogus", "mutated by the caller"))
+    assert radius_table(12, 1) == expected
+
+
 def test_zhao_wang_l1_threshold():
     assert radius_zhaowang_l1(2) == pytest.approx(0.343146, abs=1e-6)
     assert radius_zhaowang_l1(10 ** 9) == pytest.approx(3 - 2 * math.sqrt(2), rel=1e-8)

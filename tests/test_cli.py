@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from weierstrass.cli import main, parse_problem
+from weierstrass.cli import _emit, _encode, main, parse_problem
 
 WALKTHROUGH = {
     "roots": [[1, 0], [-1, 0]],
@@ -254,3 +255,23 @@ def test_non_finite_numbers_are_rejected_at_parse_time(tmp_path, capsys, field, 
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {field}: expected a finite number")
+
+
+EMIT_REPORTS = [
+    {"input": {"p": 2.0, "initial": [(1.5, -0.0), (0.1, 1e-300)]}, "trace": None},
+    {"a": [(1, (2.5, None)), True, "x"], "b": {"c": ()}},
+    {"e0": math.inf, "lambda": -math.inf, "theta": math.nan, "rows": [(0.5, math.inf)]},
+    {"nested": ({"deep": [(math.nan,), None]}, 1e308, -0.0)},
+]
+
+
+@pytest.mark.parametrize("report", EMIT_REPORTS)
+def test_emit_prints_exactly_the_encoded_report(capsys, report):
+    _emit("solve", report, "json")
+    assert capsys.readouterr().out == json.dumps(_encode(report)) + "\n"
+
+
+def test_emit_rejects_what_encode_rejects(capsys):
+    with pytest.raises(TypeError, match="cannot encode complex"):
+        _emit("solve", {"z": 1j}, "json")
+    assert capsys.readouterr().out == ""

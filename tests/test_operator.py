@@ -47,6 +47,31 @@ def test_p_norm_examples():
     assert p_norm(v, 3) == pytest.approx((27 + 64) ** (1 / 3))
 
 
+@pytest.mark.parametrize(
+    "v, p, expected",
+    [
+        # The unscaled power sum underflows to 0 ...
+        ([0.1875, 0.1875], 2000, 0.1875 * 2 ** (1 / 2000)),
+        # ... or to a subnormal ...
+        ([0.69, 0.69], 2000, 0.69 * 2 ** (1 / 2000)),
+        ([1e-160, 1e-160j], 2, 1e-160 * math.sqrt(2)),
+        # ... or overflows.
+        ([3, 3], 800, 3 * 2 ** (1 / 800)),
+        ([3e200, -4e200j], 2, 5e200),
+    ],
+)
+def test_p_norm_rescales_when_the_power_sum_leaves_the_normal_range(v, p, expected):
+    assert p_norm(v, p) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+def test_p_norm_edge_values():
+    assert p_norm([], 3) == 0.0
+    assert p_norm([0, 0j], 2000) == 0.0
+    assert p_norm([1, math.inf], 3) == math.inf
+    assert p_norm([1e300, 1e300], 2) == pytest.approx(math.sqrt(2) * 1e300, rel=1e-14)
+    assert math.isnan(p_norm([1, math.nan], 3))
+
+
 def test_correction_at_root_vector_is_zero():
     assert weierstrass_correction(SQUARE, (1, -1)) == (0j, 0j)
 

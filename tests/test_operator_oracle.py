@@ -1,7 +1,7 @@
 """The operator kernels against their all-pairs reference formulas, bit for bit.
 
 `weierstrass_correction` builds its denominators in one pass over the pairs
-i < j and `distances` sweeps the points in real-part order. Both promise the
+i < j and `distances` sweeps the points along their wider axis. Both promise the
 exact doubles, and the exact exceptions, of the direct formulas below.
 """
 
@@ -108,6 +108,11 @@ def _equal_real_parts(rng, n):
     return [complex(x, rng.uniform(-1, 1)) for _ in range(n)]
 
 
+def _equal_imag_parts(rng, n):
+    y = rng.uniform(-1, 1)
+    return [complex(rng.uniform(-1, 1), y) for _ in range(n)]
+
+
 def _clusters(rng, n):
     centres = [random_unit_disk(rng) for _ in range(max(1, n // 4))]
     return [
@@ -115,7 +120,14 @@ def _clusters(rng, n):
     ]
 
 
-POINT_SETS = [_unit_disk_cloud, _circle, _conjugate_symmetric, _equal_real_parts, _clusters]
+POINT_SETS = [
+    _unit_disk_cloud,
+    _circle,
+    _conjugate_symmetric,
+    _equal_real_parts,
+    _equal_imag_parts,
+    _clusters,
+]
 
 
 @pytest.mark.parametrize("make_points", POINT_SETS, ids=[f.__name__[1:] for f in POINT_SETS])

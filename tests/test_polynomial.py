@@ -52,6 +52,21 @@ def test_from_roots_rejects_duplicates():
         Polynomial.from_roots([1])
 
 
+def test_from_roots_names_the_first_duplicate_pair_in_index_order():
+    # Pairs (i, j) are taken by i, then by j: (0, 5) before (1, 4) and (2, 3).
+    with pytest.raises(DuplicateRoots, match=r"^roots 0 and 5 are both \(5\+0j\)$"):
+        Polynomial.from_roots([5, 2, 3, 3, 2, 5])
+    with pytest.raises(DuplicateRoots, match=r"^roots 1 and 3 are both \(7\+0j\)$"):
+        Polynomial.from_roots([4, 7, 3, 7, 7])
+    with pytest.raises(DuplicateRoots, match=r"^roots 0 and 1 are both 0j$"):
+        Polynomial.from_roots([0.0, -0.0])
+    with pytest.raises(DuplicateRoots, match=r"^roots 0 and 2 are both"):
+        Polynomial.from_roots([complex(1, 0.0), 2, complex(1, -0.0)])
+    # NaN equals nothing, itself included, so it is never a duplicate.
+    nan = complex(float("nan"), 0)
+    Polynomial.from_roots([nan, nan, 1])
+
+
 def test_degree_cap_is_configurable():
     roots = [complex(i, (i % 7) / 7) for i in range(101)]
     with pytest.raises(DegreeTooLarge):

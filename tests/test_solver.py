@@ -35,6 +35,16 @@ def test_single_step_walkthrough():
     assert trace.converged
 
 
+def test_large_p_does_not_certify_a_wrong_point_as_converged():
+    # At p = 2000 the power sum of the ratios (0.1875, 0.1875) underflowed to
+    # 0, so E(2, -2) read 0 and the start was reported converged.
+    trace = run_weierstrass(Polynomial.from_roots([1, -1]), (2, -2), SolverOptions(p=2000))
+    assert trace.records[0].e == pytest.approx(0.1875 * 2 ** (1 / 2000), rel=1e-14)
+    assert len(trace.records) > 1
+    assert trace.converged
+    assert sorted(z.real for z in trace.final) == pytest.approx([-1, 1], abs=1e-12)
+
+
 def test_single_step_second_polynomial():
     poly = Polynomial.from_roots([1, 2])  # z^2 - 3z + 2
     trace = run_weierstrass(poly, (0, 4))
