@@ -69,16 +69,23 @@ def p_norm(v: Sequence[complex], p: NormLike) -> float:
         return max((abs(x) for x in v), default=0.0)
     if norm.p == 1:
         return sum(abs(x) for x in v)
+    q = norm.p
     try:
-        total = sum(abs(x) ** norm.p for x in v)
+        total = sum(abs(x) ** q for x in v)
     except OverflowError:
-        total = math.inf
+        return _scaled_p_norm(v, q)
     if total < _MIN_NORMAL or total == math.inf:
-        top = max((abs(x) for x in v), default=0.0)
-        if not 0.0 < top < math.inf:
-            return top
-        return top * sum((abs(x) / top) ** norm.p for x in v) ** (1.0 / norm.p)
-    return total ** (1.0 / norm.p)
+        return _scaled_p_norm(v, q)
+    return total ** (1.0 / q)
+
+
+def _scaled_p_norm(v: Sequence[complex], q: float) -> float:
+    # Kept out of p_norm, whose frame would otherwise build one more closure
+    # cell on every call; match_roots calls p_norm n! times per match.
+    top = max((abs(x) for x in v), default=0.0)
+    if not 0.0 < top < math.inf:
+        return top
+    return top * sum((abs(x) / top) ** q for x in v) ** (1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -96,15 +103,13 @@ def distances(z: Sequence[complex]) -> tuple[tuple[float, ...], float]:
     """Per-coordinate nearest-neighbour distances d_i = min_{j != i} |z_i - z_j|
     and their overall minimum delta.
 
-    A plane sweep along the axis (real or imaginary) over which the points
-    spread wider: from each point in sorted order it scans outward in both
-    directions and stops once the gap along that axis reaches the best
-    distance so far, which is exact because |z_i - z_j| is at least the
-    modulus of either part of z_i - z_j. Every d_i is a minimum over the same
-    separations as the all-pairs formula, so the result is bit-identical to
-    it. Non-finite coordinates, and a pair closer than COINCIDENCE_FLOOR, fall
-    back to the all-pairs scan, which raises for the first coincident pair in
-    index order.
+    A plane sweep over the points sorted by real part: from each point it
+    scans outward in both directions and stops once the real-part gap reaches
+    the best distance so far, which is exact because |z_i - z_j| >=
+    |Re(z_i - z_j)|. Every d_i is a minimum over the same separations as the
+    all-pairs formula, so the result is bit-identical to it. Non-finite
+    coordinates, and a pair closer than COINCIDENCE_FLOOR, fall back to the
+    all-pairs scan, which raises for the first coincident pair in index order.
     """
     pts = [complex(c) for c in z]
     n = len(pts)
@@ -120,15 +125,12 @@ def distances(z: Sequence[complex]) -> tuple[tuple[float, ...], float]:
 
 def _sweep_distances(pts: list[complex]) -> list[float]:
     n = len(pts)
-    re = [z.real for z in pts]
-    im = [z.imag for z in pts]
-    keys = im if max(im) - min(im) > max(re) - min(re) else re
-    order = sorted(range(n), key=keys.__getitem__)
+    order = sorted(range(n), key=lambda k: pts[k].real)
     xs = [pts[k] for k in order]
-    res = [keys[k] for k in order]
+    res = [x.real for x in xs]
     d = [math.inf] * n
-    # res[b] - ra is, up to sign, the computed swept part of za - xs[b], and
-    # the computed abs() of a complex never falls below that part's modulus: a
+    # res[b] - ra is, up to sign, the computed real part of za - xs[b], and the
+    # computed abs() of a complex never falls below that part's modulus: a
     # break skips no closer point, in rounded arithmetic too.
     for a in range(n):
         za, ra = xs[a], res[a]

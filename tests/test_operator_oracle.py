@@ -1,7 +1,7 @@
 """The operator kernels against their all-pairs reference formulas, bit for bit.
 
 `weierstrass_correction` builds its denominators in one pass over the pairs
-i < j and `distances` sweeps the points along their wider axis. Both promise the
+i < j and `distances` sweeps the points in real-part order. Both promise the
 exact doubles, and the exact exceptions, of the direct formulas below.
 """
 
