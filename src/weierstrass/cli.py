@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .certificates import (
+    Certificate,
     certificate_from_quantity,
     convergence_radius,
     radius_table,
@@ -246,8 +247,7 @@ def _encode(obj: Any) -> Any:
     raise TypeError(f"cannot encode {type(obj).__name__}")
 
 
-def _certificate_block(e0: float, n: int, p: NormIndex) -> dict:
-    cert = certificate_from_quantity(e0, n, p)
+def _certificate_block(cert: Certificate, n: int, p: NormIndex) -> dict:
     return {
         "e0": cert.e0,
         "lambda": cert.lam,
@@ -289,7 +289,7 @@ def solve_report(problem: Problem) -> tuple[dict, int]:
     n, p = problem.poly.degree, problem.options.p
     report = {
         "input": problem.echo,
-        "certificate": _certificate_block(trace.certificate.e0, n, p),
+        "certificate": _certificate_block(trace.certificate, n, p),
         "trace": _trace_block(trace),
         "result": {
             "converged": trace.converged,
@@ -322,7 +322,7 @@ def certify_report(problem: Problem) -> tuple[dict, int]:
         )
     report = {
         "input": problem.echo,
-        "certificate": _certificate_block(data.e, n, p),
+        "certificate": _certificate_block(cert, n, p),
         "trace": None,
         "result": {
             "satisfied": cert.satisfied,
@@ -372,7 +372,7 @@ def compare_sor_report(problem: Problem) -> tuple[dict, int]:
     n, p = problem.poly.degree, problem.options.p
     report = {
         "input": problem.echo,
-        "certificate": _certificate_block(runs["wz"].certificate.e0, n, p),
+        "certificate": _certificate_block(runs["wz"].certificate, n, p),
         "trace": {label: _trace_block(trace) for label, trace in runs.items()},
         "result": {
             "wz": {

@@ -7,7 +7,7 @@ import math
 from typing import Callable, Sequence
 
 from .errors import ConvergenceFailure, NoSignChange
-from .operator import NormLike, as_norm, p_norm
+from .operator import _MIN_NORMAL, NormIndex, NormLike, as_norm, p_norm
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -80,9 +80,14 @@ def match_roots(
     """Pair computed values with true roots, minimizing ||computed - truth[perm]||_p.
 
     Returns (perm, error) where perm[i] is the index of the true root assigned
-    to computed[i]. Exhaustive search up to `exhaustive_limit` points serves as
-    its own oracle; beyond that the assignment is still exact, via shortest
-    augmenting paths for finite p and threshold bipartite matching for p = inf.
+    to computed[i]. Up to `exhaustive_limit` points every permutation is
+    scored, and the first minimal one in lexicographic order wins; the search
+    serves as its own oracle. Each score comes from the table of moduli
+    |computed[i] - truth[j]| (and their p-th powers), summed in index order,
+    and is bit-identical to p_norm of that permutation's differences: where
+    p_norm would rescale, the score calls it. Beyond the limit the assignment
+    is still exact, via shortest augmenting paths for finite p and threshold
+    bipartite matching for p = inf.
     """
     a = [complex(c) for c in computed]
     b = [complex(c) for c in truth]
@@ -93,24 +98,48 @@ def match_roots(
     if n == 0:
         return (), 0.0
 
-    def cost(perm: Sequence[int]) -> float:
-        return p_norm([a[i] - b[perm[i]] for i in range(n)], norm)
-
-    if n <= exhaustive_limit:
-        best_perm = tuple(range(n))
-        best = cost(best_perm)
-        for perm in itertools.permutations(range(n)):
-            err = cost(perm)
-            if err < best:
-                best, best_perm = err, tuple(perm)
-        return best_perm, best
-
     dist = [[abs(ai - bj) for bj in b] for ai in a]
+    if n <= exhaustive_limit:
+        score = _table_score(a, b, dist, norm)
+        best_perm = min(itertools.permutations(range(n)), key=score)
+        return best_perm, score(best_perm)
+
     if math.isinf(norm.p):
         perm = _bottleneck_assignment(dist)
     else:
         perm = _min_sum_assignment([[d ** norm.p for d in row] for row in dist])
-    return tuple(perm), cost(perm)
+    return tuple(perm), p_norm([a[i] - b[perm[i]] for i in range(n)], norm)
+
+
+def _table_score(
+    a: list[complex], b: list[complex], dist: list[list[float]], norm: NormIndex
+) -> Callable[[tuple[int, ...]], float]:
+    """Return perm -> p_norm([a[i] - b[perm[i]] for i], norm), read from
+    dist[i][j] = abs(a[i] - b[j]) with the same terms in the same order."""
+    pick = list.__getitem__
+    if math.isinf(norm.p):
+        return lambda perm: max(map(pick, dist, perm))
+    if norm.p == 1:
+        return lambda perm: sum(map(pick, dist, perm))
+    q = norm.p
+    inv_q = 1.0 / q
+    powers = [[_power_or_inf(d, q) for d in row] for row in dist]
+
+    def score(perm: tuple[int, ...]) -> float:
+        total = sum(map(pick, powers, perm))
+        if _MIN_NORMAL <= total < math.inf:
+            return total ** inv_q
+        # Zero, subnormal, overflowed or NaN: p_norm rescales or decides.
+        return p_norm([a[i] - b[j] for i, j in enumerate(perm)], norm)
+
+    return score
+
+
+def _power_or_inf(d: float, q: float) -> float:
+    try:
+        return d ** q
+    except OverflowError:
+        return math.inf
 
 
 def _min_sum_assignment(cost: list[list[float]]) -> list[int]:

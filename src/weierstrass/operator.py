@@ -81,7 +81,7 @@ def p_norm(v: Sequence[complex], p: NormLike) -> float:
 
 def _scaled_p_norm(v: Sequence[complex], q: float) -> float:
     # Kept out of p_norm, whose frame would otherwise build one more closure
-    # cell on every call; match_roots calls p_norm n! times per match.
+    # cell on every call; that keeps p_norm lean for its per-iteration callers.
     top = max((abs(x) for x in v), default=0.0)
     if not 0.0 < top < math.inf:
         return top

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import weierstrass.cli as cli
 from weierstrass.cli import _emit, _encode, main, parse_problem
 
 WALKTHROUGH = {
@@ -208,6 +209,21 @@ def test_batch_files_emit_one_line_each(tmp_path, capsys):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 2
     assert code == 2  # one of the runs did not converge
+
+
+@pytest.mark.parametrize("command, per_document", [("certify", 1), ("solve", 0), ("compare-sor", 0)])
+def test_certificate_is_computed_once_per_document(tmp_path, capsys, monkeypatch, command, per_document):
+    # Counts the CLI's own calls only: run_sor binds the solver module's name.
+    calls = []
+    real = cli.certificate_from_quantity
+    monkeypatch.setattr(cli, "certificate_from_quantity", lambda *a: calls.append(a) or real(*a))
+    docs = [WALKTHROUGH, dict(WALKTHROUGH, p=2), dict(WALKTHROUGH, initial=[[1.5, 0.2], [-1.5, 0.1]])]
+    path = tmp_path / "batch.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    code, out, _ = run_cli(capsys, command, str(path))
+    assert code == 0
+    assert len(out.splitlines()) == len(docs)
+    assert len(calls) == per_document * len(docs)
 
 
 def test_text_output_smoke(tmp_path, capsys):
