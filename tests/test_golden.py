@@ -2,8 +2,10 @@
 
 The problem set `data/golden/problems.jsonl` covers n = 2, 5, 20 and 60, plus
 z^100 - c from exact coefficients. Across its documents it uses p = 1, 2 and
-inf, all four methods, a conjugate-symmetric start (every coordinate shares
-its real part with a partner) and a run that stops at `max_iter`.
+inf, all four methods and a conjugate-symmetric start (every coordinate
+shares its real part with a partner). Its runs reach every way a run can
+stop: `tol_e`, `tol_step` (after one update), `max_iter`, and an abort when
+the first update makes two coordinates coincide.
 
 The reports are a behaviour lock for refactors and speed-ups that must not
 change a single output byte. After a deliberate change of output, rebuild
@@ -96,6 +98,19 @@ def build_problems() -> list[dict]:
             "method": "plain",
         }
     )
+    docs += [
+        # Stops by tol_step after one update.
+        {
+            "roots": [[1, 0], [-1, 0]],
+            "initial": [[2, 0], [-2, 0]],
+            "p": "inf",
+            "method": "plain",
+            "tol_step": 10,
+            "tol_e": 0,
+        },
+        # The first update moves both points to 0: the run aborts at k = 1.
+        {"coefficients": [[-2, 0], [0, 0]], "initial": [[2, 0], [1, 0]], "p": 2, "method": "plain"},
+    ]
     return docs
 
 
