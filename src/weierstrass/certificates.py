@@ -155,6 +155,15 @@ def apriori_bound(k: int, cert: Certificate, first_step_norm: float) -> float:
     return theta ** k * pow_2k_minus_1 / denom * first_step_norm
 
 
+def _aposteriori(cert: Certificate, step_norm: float) -> float | None:
+    """theta lam / (1 - theta lam^2) * step_norm from the certificate at z^k;
+    None when the certificate fails or the denominator is not positive."""
+    if not cert.satisfied:
+        return None
+    denom = 1.0 - cert.theta * cert.lam ** 2
+    return cert.theta * cert.lam / denom * step_norm if denom > 0.0 else None
+
+
 def aposteriori_bound(
     poly: Polynomial,
     zk: Sequence[complex],
@@ -171,10 +180,10 @@ def aposteriori_bound(
     cert = certify(poly, zk, p)
     if not cert.satisfied:
         raise CertificateNotSatisfied(f"certificate does not hold at this point (E = {cert.e0:g})")
-    denom = 1.0 - cert.theta * cert.lam ** 2
-    if denom <= 0.0:
-        raise DegenerateDenominator(f"1 - theta lam^2 = {denom:g} is not positive")
-    return cert.theta * cert.lam / denom * step_norm
+    bound = _aposteriori(cert, step_norm)
+    if bound is None:
+        raise DegenerateDenominator(f"1 - theta lam^2 is not positive (lam = {cert.lam:g})")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +255,13 @@ def lambda_zheng(c: float, n: int) -> float:
     """Zheng's convergence factor for C = ||W(z0)||_inf / delta(z0) < 1/2.
 
     (n-1) C / ((1-C)(1-2C)) * (1 + C/(1-2C))^(n-1); convergence is certified
-    when this is at most 1. Coincides with majorant(C, n, inf).
+    when this is at most 1. It is majorant(C, n, inf), so it is inf where the
+    growth factor overflows.
     """
     _check_degree(n)
     if not 0.0 < c < 0.5:
         raise DomainViolation(f"C must lie in (0, 1/2), got {c}")
-    return (n - 1) * c / ((1.0 - c) * (1.0 - 2.0 * c)) * (1.0 + c / (1.0 - 2.0 * c)) ** (n - 1)
+    return majorant(c, n, math.inf)
 
 
 def radius_inf_linear(n: int) -> float:
@@ -353,6 +363,24 @@ class RadiusEntry:
     majorant_at_value: float | None
 
 
+#: (name, fixed norm of a ||W||/delta threshold or None for one on E, required
+#: p or None, least degree, value at (n, norm)), in report order.
+_CATALOG = (
+    ("exact", None, None, 2, lambda n, norm: convergence_radius(n, norm)),
+    ("exp-majorant-sharp", None, None, 2, lambda n, norm: radius_exp_majorant(n, norm, True)),
+    ("exp-majorant", None, None, 2, lambda n, norm: radius_exp_majorant(n, norm, False)),
+    ("simple", None, None, 2, lambda n, norm: radius_simple(n, norm)),
+    ("han", None, None, 2, lambda n, norm: radius_han(n, norm)),
+    ("sum-norm", None, 1.0, 2, lambda n, norm: radius_sum_norm()),
+    ("inf-linear", None, math.inf, 2, lambda n, norm: radius_inf_linear(n)),
+    ("zheng", math.inf, math.inf, 2, lambda n, norm: convergence_radius(n, norm)),
+    ("wang-zhao-inf", math.inf, math.inf, 2, lambda n, norm: c_wangzhao_inf(n)),
+    ("petkovic-herceg", math.inf, math.inf, 2, lambda n, norm: threshold_petkovic_herceg(n)),
+    ("wang-zhao-l1", 1.0, 1.0, 4, lambda n, norm: c_wangzhao_l1(n)),
+    ("zhao-wang-l1", 1.0, 1.0, 2, lambda n, norm: radius_zhaowang_l1(n)),
+)
+
+
 def radius_table(n: int, p: NormLike) -> tuple[list[RadiusEntry], list[tuple[str, str]]]:
     """All thresholds applicable at (n, p), sorted by value descending,
     plus (name, reason) pairs for the ones that do not apply at this p."""
@@ -360,46 +388,15 @@ def radius_table(n: int, p: NormLike) -> tuple[list[RadiusEntry], list[tuple[str
     norm = as_norm(p)
     entries: list[RadiusEntry] = []
     omitted: list[tuple[str, str]] = []
-
-    def ratio(name: str, value: float) -> None:
-        entries.append(RadiusEntry(name, value, "ratio", None, majorant(value, n, norm)))
-
-    def w_over_delta(name: str, value: float, fixed_norm: float) -> None:
-        entries.append(RadiusEntry(name, value, "w_over_delta", fixed_norm, None))
-
-    ratio("exact", convergence_radius(n, norm))
-    ratio("exp-majorant-sharp", radius_exp_majorant(n, norm, sharp=True))
-    ratio("exp-majorant", radius_exp_majorant(n, norm, sharp=False))
-    ratio("simple", radius_simple(n, norm))
-    ratio("han", radius_han(n, norm))
-
-    if norm.p == 1.0:
-        ratio("sum-norm", radius_sum_norm())
-    else:
-        omitted.append(("sum-norm", "requires p = 1"))
-    if math.isinf(norm.p):
-        ratio("inf-linear", radius_inf_linear(n))
-    else:
-        omitted.append(("inf-linear", "requires p = inf"))
-
-    if math.isinf(norm.p):
-        w_over_delta("zheng", convergence_radius(n, norm), math.inf)
-        w_over_delta("wang-zhao-inf", c_wangzhao_inf(n), math.inf)
-        w_over_delta("petkovic-herceg", threshold_petkovic_herceg(n), math.inf)
-    else:
-        omitted.append(("zheng", "requires p = inf"))
-        omitted.append(("wang-zhao-inf", "requires p = inf"))
-        omitted.append(("petkovic-herceg", "requires p = inf"))
-
-    if norm.p == 1.0:
-        if n >= 4:
-            w_over_delta("wang-zhao-l1", c_wangzhao_l1(n), 1.0)
+    for name, fixed_norm, required_p, min_degree, value_at in _CATALOG:
+        if required_p is not None and norm.p != required_p:
+            omitted.append((name, f"requires p = {required_p:g}"))
+        elif n < min_degree:
+            omitted.append((name, f"requires n >= {min_degree}"))
+        elif fixed_norm is None:
+            value = value_at(n, norm)
+            entries.append(RadiusEntry(name, value, "ratio", None, majorant(value, n, norm)))
         else:
-            omitted.append(("wang-zhao-l1", "requires n >= 4"))
-        w_over_delta("zhao-wang-l1", radius_zhaowang_l1(n), 1.0)
-    else:
-        omitted.append(("wang-zhao-l1", "requires p = 1"))
-        omitted.append(("zhao-wang-l1", "requires p = 1"))
-
+            entries.append(RadiusEntry(name, value_at(n, norm), "w_over_delta", fixed_norm, None))
     entries.sort(key=lambda entry: -entry.value)
     return entries, omitted

@@ -279,11 +279,6 @@ def _trace_block(trace) -> dict:
     }
 
 
-def _steps_taken(trace) -> int:
-    last = trace.records[-1]
-    return last.k if trace.final == last.z else last.k + 1
-
-
 def solve_report(problem: Problem) -> tuple[dict, int]:
     trace = run_sor(problem.poly, problem.z0, problem.options)
     n, p = problem.poly.degree, problem.options.p
@@ -293,7 +288,7 @@ def solve_report(problem: Problem) -> tuple[dict, int]:
         "trace": _trace_block(trace),
         "result": {
             "converged": trace.converged,
-            "iterations": _steps_taken(trace),
+            "iterations": trace.steps,
             "roots": [_pair(z) for z in trace.final],
         },
     }
@@ -377,12 +372,12 @@ def compare_sor_report(problem: Problem) -> tuple[dict, int]:
         "result": {
             "wz": {
                 "converged": runs["wz"].converged,
-                "iterations": _steps_taken(runs["wz"]),
+                "iterations": runs["wz"].steps,
                 "h": wz_h,
             },
             "new": {
                 "converged": runs["new"].converged,
-                "iterations": _steps_taken(runs["new"]),
+                "iterations": runs["new"].steps,
                 "h": new_h,
             },
             "ratios": ratios,

@@ -82,10 +82,13 @@ def p_norm(v: Sequence[complex], p: NormLike) -> float:
 def _scaled_p_norm(v: Sequence[complex], q: float) -> float:
     # Kept out of p_norm, whose frame would otherwise build one more closure
     # cell on every call; that keeps p_norm lean for its per-iteration callers.
-    top = max((abs(x) for x in v), default=0.0)
+    # A caught overflow may leave errno at ERANGE, where CPython's abs() of a
+    # complex with a NaN part raises: those entries take math.hypot instead.
+    mods = [math.hypot(x.real, x.imag) if x != x else abs(x) for x in v]
+    top = max(mods, default=0.0)
     if not 0.0 < top < math.inf:
         return top
-    return top * sum((abs(x) / top) ** q for x in v) ** (1.0 / q)
+    return top * sum((m / top) ** q for m in mods) ** (1.0 / q)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .certificates import Certificate, apriori_bound, certificate_from_quantity
+from .certificates import Certificate, _aposteriori, apriori_bound, certificate_from_quantity
 from .errors import DistinctCoordinatesViolated, NonFiniteValue
 from .operator import (
     NormIndex,
-    OperatorData,
     PointVector,
     as_norm,
     certificate_quantity,
@@ -31,7 +30,20 @@ WZ_ACCEL_COEFF = 0.204378
 #: one by the factor 0.307541/0.204378 ~ 1.5048 whenever it actually damps.
 RATIO_ACCEL_COEFF = 0.307541
 
-MODES = ("plain", "sor_wz", "sor_new", "sor_fixed")
+
+def _damped(scale: float, total: float) -> float:
+    return 1.0 if total == 0.0 else min(1.0, scale / total)
+
+
+#: The damping h_k of each mode, from the fixed h and the data at z^k.
+_DAMPING = {
+    "plain": lambda h, data: 1.0,
+    "sor_wz": lambda h, data: _damped(WZ_ACCEL_COEFF * data.delta, sum(map(abs, data.w))),
+    "sor_new": lambda h, data: _damped(
+        RATIO_ACCEL_COEFF, sum(abs(wi) / di for wi, di in zip(data.w, data.d))
+    ),
+    "sor_fixed": lambda h, data: h,
+}
 
 
 @dataclass(frozen=True)
@@ -51,8 +63,8 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", as_norm(self.p))
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode not in _DAMPING:
+            raise ValueError(f"mode must be one of {tuple(_DAMPING)}, got {self.mode!r}")
         if not 0.0 < self.h <= 1.0:
             raise ValueError(f"fixed acceleration must lie in (0, 1], got {self.h}")
         if self.max_iter < 1:
@@ -85,6 +97,7 @@ class IterationRecord:
 class IterationTrace:
     """Full run record.
 
+    steps counts the updates between z0 and `final`, rounded-away ones too.
     apriori_curve[i] is the initial-data error bound for iterate i+1; it is
     empty when the initial certificate fails or any step was damped. `error`
     carries the diagnostic when the run aborted mid-way (coincident
@@ -94,38 +107,21 @@ class IterationTrace:
 
     records: tuple[IterationRecord, ...]
     final: PointVector
+    steps: int
     converged: bool
     certificate: Certificate
     apriori_curve: tuple[float, ...]
     error: str | None = None
 
 
-def _acceleration(mode: str, h_fixed: float, data: OperatorData) -> float:
-    if mode == "plain":
-        return 1.0
-    if mode == "sor_fixed":
-        return h_fixed
-    if mode == "sor_wz":
-        total = sum(abs(wi) for wi in data.w)
-        if total == 0.0:
-            return 1.0
-        return min(1.0, WZ_ACCEL_COEFF * data.delta / total)
-    if mode == "sor_new":
-        total = sum(abs(wi) / di for wi, di in zip(data.w, data.d))
-        if total == 0.0:
-            return 1.0
-        return min(1.0, RATIO_ACCEL_COEFF / total)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def h_wangzhao(poly: Polynomial, z: Sequence[complex]) -> float:
     """Wang-Zhao acceleration min(1, 0.204378 delta(z) / sum_i |W_i(z)|); 1 when W = 0."""
-    return _acceleration("sor_wz", 1.0, certificate_quantity(poly, z, 1))
+    return _DAMPING["sor_wz"](1.0, certificate_quantity(poly, z, 1))
 
 
 def h_ratio(poly: Polynomial, z: Sequence[complex]) -> float:
     """Ratio acceleration min(1, 0.307541 / sum_i |W_i(z)/d_i(z)|); 1 when W = 0."""
-    return _acceleration("sor_new", 1.0, certificate_quantity(poly, z, 1))
+    return _DAMPING["sor_new"](1.0, certificate_quantity(poly, z, 1))
 
 
 def run_sor(poly: Polynomial, z0: Sequence[complex], opts: SolverOptions | None = None) -> IterationTrace:
@@ -136,12 +132,11 @@ def run_sor(poly: Polynomial, z0: Sequence[complex], opts: SolverOptions | None 
     with the diagnostic in `error` rather than perturbing the point.
     """
     opts = SolverOptions() if opts is None else opts
+    damping = _DAMPING[opts.mode]
     z: PointVector = tuple(complex(c) for c in z0)
     records: list[IterationRecord] = []
     cert0: Certificate | None = None
     run_error: str | None = None
-    converged = False
-    final = z
     k = 0
     while True:
         try:
@@ -150,19 +145,15 @@ def run_sor(poly: Polynomial, z0: Sequence[complex], opts: SolverOptions | None 
             if k == 0:
                 raise
             run_error = f"aborted at k = {k}: {exc}"
-            final = records[-1].z
+            converged, final, steps = False, records[-1].z, k - 1
             break
         cert_k = certificate_from_quantity(data.e, poly.degree, opts.p)
         if cert0 is None:
             cert0 = cert_k
         w_norm = p_norm(data.w, opts.p)
-        h = _acceleration(opts.mode, opts.h, data)
+        h = damping(opts.h, data)
         step_norm = h * w_norm
-        apost = None
-        if h == 1.0 and cert_k.satisfied:
-            denom = 1.0 - cert_k.theta * cert_k.lam ** 2
-            if denom > 0.0:
-                apost = cert_k.theta * cert_k.lam / denom * step_norm
+        apost = _aposteriori(cert_k, step_norm) if h == 1.0 else None
         records.append(
             IterationRecord(
                 k=k,
@@ -177,14 +168,14 @@ def run_sor(poly: Polynomial, z0: Sequence[complex], opts: SolverOptions | None 
             )
         )
         if data.e <= opts.tol_e:
-            converged, final = True, z
+            converged, final, steps = True, z, k
             break
         z_next = tuple(zi - h * wi for zi, wi in zip(z, data.w))
         if opts.tol_step > 0.0 and step_norm <= opts.tol_step:
-            converged, final = True, z_next
+            converged, final, steps = True, z_next, k + 1
             break
         if k >= opts.max_iter:
-            converged, final = False, z
+            converged, final, steps = False, z, k
             break
         z = z_next
         k += 1
@@ -197,6 +188,7 @@ def run_sor(poly: Polynomial, z0: Sequence[complex], opts: SolverOptions | None 
     return IterationTrace(
         records=tuple(records),
         final=final,
+        steps=steps,
         converged=converged,
         certificate=cert0,
         apriori_curve=curve,

@@ -277,6 +277,8 @@ def test_lambda_zheng_matches_majorant():
         assert lambda_zheng(c, n) == pytest.approx(majorant(c, n, math.inf), rel=1e-14)
     assert lambda_zheng(0.25, 2) == pytest.approx(1.0, rel=1e-14)
     assert lambda_zheng(1e-9, 5) < 1e-7
+    # The growth factor overflows here; the value is inf, like the majorant's.
+    assert lambda_zheng(0.4999999, 100) == majorant(0.4999999, 100, math.inf) == math.inf
     with pytest.raises(DomainViolation):
         lambda_zheng(0.5, 4)
     with pytest.raises(DomainViolation):

@@ -5,6 +5,7 @@ import pytest
 
 import weierstrass.cli as cli
 from weierstrass.cli import _emit, _encode, main, parse_problem
+from weierstrass.solver import run_sor
 
 WALKTHROUGH = {
     "roots": [[1, 0], [-1, 0]],
@@ -198,6 +199,21 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     _, first, _ = run_cli(capsys, "solve", path)
     _, second, _ = run_cli(capsys, "solve", path)
     assert first == second
+
+
+@pytest.mark.parametrize("h", [1e-20, 1e-3])
+def test_iterations_count_a_step_that_rounds_to_nothing(tmp_path, capsys, h):
+    # Both runs stop by tol_step at k = 0 after one update. With h = 1e-20 the
+    # update leaves every coordinate unchanged in floating point, which once
+    # made the CLI report 0 iterations for it.
+    doc = dict(WALKTHROUGH, method="sor_fixed", h=h, tol_step=1, tol_e=0)
+    problem = parse_problem(doc)
+    trace = run_sor(problem.poly, problem.z0, problem.options)
+    assert trace.records[-1].k == 0
+    assert trace.steps == 1
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, doc))
+    assert code == 0
+    assert json.loads(out)["result"]["iterations"] == 1
 
 
 def test_batch_files_emit_one_line_each(tmp_path, capsys):

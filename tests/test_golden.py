@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from weierstrass.cli import main
+from weierstrass.cli import main, parse_problem
+from weierstrass.solver import _DAMPING, run_sor
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 PROBLEMS = GOLDEN / "problems.jsonl"
@@ -131,6 +132,30 @@ def test_report_is_byte_identical(name, argv):
     code, out = run_command(full_argv(argv))
     assert code == expected_codes[name]
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def _stop_branch(trace, opts) -> str:
+    last = trace.records[-1]
+    if trace.error is not None:
+        return "aborted"
+    if trace.converged and last.e <= opts.tol_e:
+        return "tol_e"
+    if trace.converged and 0.0 < opts.tol_step and last.step_norm <= opts.tol_step:
+        return "tol_step"
+    if not trace.converged and last.k == opts.max_iter:
+        return "max_iter"
+    return "unknown"
+
+
+def test_problems_use_every_mode_and_reach_every_stop():
+    # A new mode or a new way to stop must bring a golden document with it.
+    problems = [parse_problem(json.loads(line)) for line in PROBLEMS.read_text().splitlines()]
+    assert {problem.options.mode for problem in problems} == set(_DAMPING)
+    stops = {
+        _stop_branch(run_sor(problem.poly, problem.z0, problem.options), problem.options)
+        for problem in problems
+    }
+    assert stops == {"tol_e", "tol_step", "max_iter", "aborted"}
 
 
 def regenerate() -> None:

@@ -22,6 +22,7 @@ def test_root_vector_is_fixed_point():
     assert trace.converged
     assert len(trace.records) == 1
     assert trace.final == (1 + 0j, -1 + 0j)
+    assert trace.steps == 0
     assert trace.records[0].e == 0.0
     assert trace.records[0].step_norm == 0.0
     assert trace.apriori_curve == ()
@@ -120,6 +121,7 @@ def test_midrun_collision_returns_partial_trace():
     assert trace.error is not None
     assert len(trace.records) == 1
     assert trace.final == (2 + 0j, 1 + 0j)
+    assert trace.steps == 0
 
 
 def test_initial_collision_raises():
@@ -132,6 +134,7 @@ def test_iteration_cap():
     assert not trace.converged
     assert len(trace.records) == 4  # iterates 0..3
     assert trace.records[-1].k == 3
+    assert trace.steps == 3
 
 
 def test_step_norm_stopping_rule():
@@ -140,6 +143,7 @@ def test_step_norm_stopping_rule():
     assert trace.converged
     assert len(trace.records) == 1
     assert trace.final == (1.25 + 0j, -1.25 + 0j)  # the within-tolerance step is taken
+    assert trace.steps == 1
 
 
 def test_unsatisfied_certificate_leaves_bound_empty():
