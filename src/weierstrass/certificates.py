@@ -364,7 +364,8 @@ class RadiusEntry:
 
 
 #: (name, fixed norm of a ||W||/delta threshold or None for one on E, required
-#: p or None, least degree, value at (n, norm)), in report order.
+#: p or None, least degree, value at (n, norm)), in report order. Values look
+#: their functions up by name, so a rebound module attribute reaches them.
 _CATALOG = (
     ("exact", None, None, 2, lambda n, norm: convergence_radius(n, norm)),
     ("exp-majorant-sharp", None, None, 2, lambda n, norm: radius_exp_majorant(n, norm, True)),
