@@ -204,8 +204,8 @@ def test_reports_are_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize("h", [1e-20, 1e-3])
 def test_iterations_count_a_step_that_rounds_to_nothing(tmp_path, capsys, h):
     # Both runs stop by tol_step at k = 0 after one update. With h = 1e-20 the
-    # update leaves every coordinate unchanged in floating point, which once
-    # made the CLI report 0 iterations for it.
+    # update leaves every coordinate unchanged in floating point, so comparing
+    # points cannot tell whether it was taken; the solver's count can.
     doc = dict(WALKTHROUGH, method="sor_fixed", h=h, tol_step=1, tol_e=0)
     problem = parse_problem(doc)
     trace = run_sor(problem.poly, problem.z0, problem.options)

@@ -71,7 +71,7 @@ def test_p_norm_edge_values():
     assert p_norm([1e300, 1e300], 2) == pytest.approx(math.sqrt(2) * 1e300, rel=1e-14)
     assert math.isnan(p_norm([1, math.nan], 3))
     # 1.98...^2000 overflows, so the rescaled pass meets the NaN entry with
-    # errno still at ERANGE, where abs() of it used to raise OverflowError.
+    # errno still at ERANGE, where CPython's abs() of it raises OverflowError.
     assert math.isnan(p_norm([complex(math.nan, -0.68), complex(-1.98, 1.03)], 2000))
     assert math.isnan(p_norm([complex(-1.98, 1.03), complex(0.5, math.nan)], 2000))
 
