@@ -191,3 +191,33 @@ def test_scale_and_translation_equivariance():
             for di, di2 in zip(base.d, moved.d):
                 assert abs(di2 - abs(c) * di) <= 1e-12 * abs(c) * di
             assert abs(moved.e - base.e) <= 1e-10 * max(base.e, 1e-30)
+
+
+@pytest.mark.parametrize(
+    "z, overflow_at",
+    [
+        ([0.5, -1 + 2j, 2 - 0.5j, 1j], None),
+        ([0.5, 1e200, 2], 1),
+        # A conjugate pair and two points on the real axis: every pair is checked.
+        ([0.5 + 1j, 0.5 - 1j, 3, -2], None),
+        ([0.5 + 1j, 0.5 - 1j, 1e200, 3], 2),
+    ],
+)
+def test_correction_evaluates_each_coordinate_once_in_order(monkeypatch, z, overflow_at):
+    calls = []
+    evaluate = Polynomial.evaluate
+
+    def counting(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Polynomial, "evaluate", counting)
+    poly = Polynomial.from_coefficients([0.5] * len(z))
+    if overflow_at is None:
+        weierstrass_correction(poly, z)
+        assert calls == [complex(c) for c in z]
+    else:
+        with pytest.raises(NonFiniteValue, match=f"at coordinate {overflow_at}$"):
+            weierstrass_correction(poly, z)
+        # A raise at coordinate k follows exactly k + 1 evaluations.
+        assert calls == [complex(c) for c in z[: overflow_at + 1]]

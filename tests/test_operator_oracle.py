@@ -176,3 +176,48 @@ def test_conjugate_pair_keeps_the_sign_of_zero():
     poly = Polynomial.from_coefficients([0, 0])
     z = [1 - 1j, 1 + 1j]
     assert _outcome(weierstrass_correction, poly, z) == _outcome(reference_correction, poly, z)
+
+
+def _outcome_with_overflow(f, *args):
+    """`_outcome`, also recording the OverflowError abs() raises on a modulus too large."""
+    try:
+        return _outcome(f, *args)
+    except OverflowError as exc:
+        return type(exc).__name__, str(exc)
+
+
+BELOW_FLOOR = math.nextafter(COINCIDENCE_FLOOR, 0)
+
+# Inputs on either side of the test that lets `weierstrass_correction` skip
+# the coincidence check: finite parts of modulus at most 1e307, and sorted
+# real (or imaginary) parts at least COINCIDENCE_FLOOR apart.
+SEPARATION_BOUNDARY = {
+    # One real part for all: only the imaginary parts are apart.
+    "equal-real-parts": [complex(0.25, y) for y in (-1, 0.5, 2, -0.75, 3)],
+    # Conjugate pairs and two points on the real axis repeat a real part and
+    # an imaginary part, so every pair is checked.
+    "conjugates-and-real-axis": [1 + 1j, 1 - 1j, -2 + 0.5j, -2 - 0.5j, 0.3, -0.7],
+    # W_0 overflows before the pair (1, 2), closer than 1e-301, is reached.
+    "overflow-before-coincidence": [1e200, 0, 1e-302],
+    # Every difference of parts is finite, but abs() of z_0 - z_1 (and of
+    # z_1 - z_2, after W_0 is formed) overflows.
+    "abs-overflows-in-row-0": [1.5e308, complex(1, 1.5e308), 0.5],
+    "abs-overflows-in-row-1": [0.5, 1.5e308, complex(1, 1.5e308)],
+    # Parts of modulus 1e307, whose differences and moduli stay finite.
+    "parts-at-1e307": [0.5, 1e307, complex(-1e307, 1), complex(2, 1e307), complex(3, -1e307)],
+    # Real-part gaps of exactly COINCIDENCE_FLOOR, and of one ulp below it.
+    "real-gap-at-floor": [0, COINCIDENCE_FLOOR, 1, 2 + 2j],
+    "real-gap-at-floor-equal-imag": [1j, complex(COINCIDENCE_FLOOR, 1), complex(2 * COINCIDENCE_FLOOR, -1)],
+    "real-gap-below-floor": [0, BELOW_FLOOR, 1],
+    "real-gap-below-floor-apart": [1j, complex(BELOW_FLOOR, -1), complex(2, 1)],
+    # sorted() leaves a NaN where it stood, and 1e-310 after it: only an
+    # explicit finiteness test sees the pair (0, 3) as unchecked.
+    "nan-hides-coincident-pair": [0, 2, NAN, 1e-310],
+}
+
+
+@pytest.mark.parametrize("z", SEPARATION_BOUNDARY.values(), ids=SEPARATION_BOUNDARY.keys())
+def test_separation_boundary_matches_reference(z):
+    poly = Polynomial.from_coefficients([0.5] * len(z))
+    got = _outcome_with_overflow(weierstrass_correction, poly, z)
+    assert got == _outcome_with_overflow(reference_correction, poly, z)
