@@ -7,6 +7,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Sequence, Union
 
 from .errors import DistinctCoordinatesViolated, InvalidExponent, NonFiniteValue
@@ -15,6 +16,10 @@ from .polynomial import Polynomial
 #: Coordinate pairs closer than this are rejected outright: the difference is
 #: mathematically legal but its reciprocal products overflow double precision.
 COINCIDENCE_FLOOR = 1e-300
+
+#: Parts of modulus at most this keep every difference of two coordinates,
+#: and its modulus (at most 2 * sqrt(2) * 1e307), finite.
+_PART_LIMIT = 1e307
 
 _MIN_NORMAL = sys.float_info.min
 
@@ -171,36 +176,57 @@ def _all_pairs_distances(pts: list[complex]) -> list[float]:
     return d
 
 
+def _separated(pts: list[complex]) -> bool:
+    """True when no computed |z_i - z_j| can fall below COINCIDENCE_FLOOR or
+    overflow, which lets `weierstrass_correction` skip its per-pair check.
+
+    It holds when every part is finite and at most _PART_LIMIT in modulus, and
+    the sorted real parts, or the sorted imaginary parts, are each at least
+    COINCIDENCE_FLOOR apart. Rounding is monotone, so every computed
+    difference of two parts is at least one computed gap between neighbours,
+    and abs() of a complex never falls below the modulus of either part.
+    """
+    if not all(map(cmath.isfinite, pts)):
+        return False
+    xs = sorted([z.real for z in pts])
+    ys = sorted([z.imag for z in pts])
+    if max(-xs[0], xs[-1], -ys[0], ys[-1]) > _PART_LIMIT:
+        return False
+    return (
+        min(map(sub, xs[1:], xs), default=math.inf) >= COINCIDENCE_FLOOR
+        or min(map(sub, ys[1:], ys), default=math.inf) >= COINCIDENCE_FLOOR
+    )
+
+
 def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]:
     """W_i(z) = f(z_i) / prod_{j != i} (z_i - z_j).
 
-    Vanishes exactly when z is a root vector of f. Denominators are direct
-    products, built in one pass over the pairs i < j: each difference is
-    formed once and multiplied into den_i as z_i - z_j and into den_j as
-    z_j - z_i. Every den_i still takes its factors in ascending j, so the
-    result is bit-identical to the row-by-row formula. W_i is formed as soon
-    as den_i is complete, so the first coincident pair in index order is
-    reported before any later coordinate's NonFiniteValue. Overflow or a
-    vanished product raises NonFiniteValue.
+    Vanishes exactly when z is a root vector of f. Each den_i is a direct
+    product formed row by row, its factors in ascending j. Unless `_separated`
+    rules it out in O(n log n), every pair i < j is checked for coincidence
+    as row i is built, so the first coincident pair in index order is reported
+    before any later coordinate's NonFiniteValue. Overflow or a vanished
+    product raises NonFiniteValue.
     """
     pts = [complex(c) for c in z]
     n = len(pts)
     if n != poly.degree:
         raise ValueError(f"point has {n} coordinates, polynomial degree is {poly.degree}")
-    dens = [1 + 0j] * n
+    checked = not _separated(pts)
     w = []
     for i, zi in enumerate(pts):
-        den = dens[i]
-        for j in range(i + 1, n):
-            zj = pts[j]
-            diff = zi - zj
-            if abs(diff) < COINCIDENCE_FLOOR:
-                raise DistinctCoordinatesViolated(
-                    f"coordinates {i} and {j} coincide (separation {abs(diff):.3g})"
-                )
-            den *= diff
-            # z_j - z_i, not -diff: the two differ in the sign of a zero part.
-            dens[j] *= zj - zi
+        if checked:
+            for j in range(i + 1, n):
+                sep = abs(zi - pts[j])
+                if sep < COINCIDENCE_FLOOR:
+                    raise DistinctCoordinatesViolated(
+                        f"coordinates {i} and {j} coincide (separation {sep:.3g})"
+                    )
+        den = 1 + 0j
+        for zj in pts[:i]:
+            den *= zi - zj
+        for zj in pts[i + 1 :]:
+            den *= zi - zj
         try:
             wi = poly.evaluate(zi) / den
         except ZeroDivisionError:

@@ -1,8 +1,9 @@
 """The operator kernels against their all-pairs reference formulas, bit for bit.
 
-`weierstrass_correction` builds its denominators in one pass over the pairs
-i < j and `distances` sweeps the points in real-part order. Both promise the
-exact doubles, and the exact exceptions, of the direct formulas below.
+`weierstrass_correction` skips its per-pair coincidence check when the
+sorted parts of the points rule a coincidence out, and `distances` sweeps the
+points in real-part order. Both promise the exact doubles, and the exact
+exceptions, of the direct formulas below.
 """
 
 import cmath
@@ -19,7 +20,7 @@ from weierstrass import (
     distances,
     weierstrass_correction,
 )
-from weierstrass.operator import COINCIDENCE_FLOOR
+from weierstrass.operator import COINCIDENCE_FLOOR, _separated
 
 
 def reference_correction(poly, z):
@@ -207,7 +208,11 @@ SEPARATION_BOUNDARY = {
     "parts-at-1e307": [0.5, 1e307, complex(-1e307, 1), complex(2, 1e307), complex(3, -1e307)],
     # Real-part gaps of exactly COINCIDENCE_FLOOR, and of one ulp below it.
     "real-gap-at-floor": [0, COINCIDENCE_FLOOR, 1, 2 + 2j],
-    "real-gap-at-floor-equal-imag": [1j, complex(COINCIDENCE_FLOOR, 1), complex(2 * COINCIDENCE_FLOOR, -1)],
+    "real-gap-at-floor-equal-imag": [
+        1j,
+        complex(COINCIDENCE_FLOOR, 1),
+        complex(2 * COINCIDENCE_FLOOR, -1),
+    ],
     "real-gap-below-floor": [0, BELOW_FLOOR, 1],
     "real-gap-below-floor-apart": [1j, complex(BELOW_FLOOR, -1), complex(2, 1)],
     # sorted() leaves a NaN where it stood, and 1e-310 after it: only an
@@ -221,3 +226,28 @@ def test_separation_boundary_matches_reference(z):
     poly = Polynomial.from_coefficients([0.5] * len(z))
     got = _outcome_with_overflow(weierstrass_correction, poly, z)
     assert got == _outcome_with_overflow(reference_correction, poly, z)
+
+
+SEPARATED = {
+    "real-gap-at-floor": ([0, COINCIDENCE_FLOOR, 1], True),
+    "real-gap-below-floor": ([0, BELOW_FLOOR, 1], False),
+    # The imaginary parts alone can separate, as can the real parts alone.
+    "equal-real-parts": ([complex(0.25, y) for y in (-1, 0.5, 2)], True),
+    "real-gaps-at-floor-equal-imag": (
+        [1j, complex(COINCIDENCE_FLOOR, 1), complex(2 * COINCIDENCE_FLOOR, -1)],
+        True,
+    ),
+    "conjugates-and-real-axis": ([1 + 1j, 1 - 1j, 0.3, -0.7], False),
+    # Parts of modulus up to 1e307, and not one ulp more.
+    "parts-at-1e307": ([complex(-1e307, 1), complex(1e307, -1e307), 1e307j], True),
+    "real-part-above-1e307": ([0, math.nextafter(1e307, INF)], False),
+    "imag-part-above-1e307": ([0, complex(1, -math.nextafter(1e307, INF))], False),
+    "infinite-part": ([0, 1, INF], False),
+    "nan-hides-coincident-pair": ([0, 2, NAN, 1e-310], False),
+    "nan-imag-part": ([0, 1, complex(2, NAN)], False),
+}
+
+
+@pytest.mark.parametrize("z, separated", SEPARATED.values(), ids=SEPARATED.keys())
+def test_separated_at_its_boundaries(z, separated):
+    assert _separated([complex(c) for c in z]) is separated
