@@ -86,8 +86,10 @@ def match_roots(
     |computed[i] - truth[j]| (and their p-th powers), summed in index order,
     and is bit-identical to p_norm of that permutation's differences: where
     p_norm would rescale, the score calls it. Beyond the limit the assignment
-    is still exact, via shortest augmenting paths for finite p and threshold
-    bipartite matching for p = inf.
+    is still exact: threshold bipartite matching gives the least largest
+    distance t*, which is the answer for p = inf, and for finite p shortest
+    augmenting paths minimize the sum of (d / t*)^p, which can neither
+    overflow nor all underflow to zero.
     """
     a = [complex(c) for c in computed]
     b = [complex(c) for c in truth]
@@ -104,10 +106,9 @@ def match_roots(
         best_perm = min(itertools.permutations(range(n)), key=score)
         return best_perm, score(best_perm)
 
-    if math.isinf(norm.p):
-        perm = _bottleneck_assignment(dist)
-    else:
-        perm = _min_sum_assignment([[d ** norm.p for d in row] for row in dist])
+    perm = _bottleneck_assignment(dist)
+    if not math.isinf(norm.p):
+        perm = _min_power_sum_assignment(dist, perm, norm.p)
     return tuple(perm), p_norm([a[i] - b[perm[i]] for i in range(n)], norm)
 
 
@@ -140,6 +141,29 @@ def _power_or_inf(d: float, q: float) -> float:
         return d ** q
     except OverflowError:
         return math.inf
+
+
+def _min_power_sum_assignment(
+    dist: list[list[float]], bottleneck: list[int], q: float
+) -> list[int]:
+    """Exact minimum of sum_i dist[i][perm[i]] ** q, scored without overflow
+    or a wholesale underflow to zero.
+
+    t*, the largest distance `bottleneck` uses, is the least any permutation
+    can have. An optimum's sum is at most n * t*^q, so an entry above
+    n^(1/q) * t* is in no optimum: it costs n + 1, and every other entry
+    (d / t*)^q <= n. At t* = 0 `bottleneck` is already optimal, and it is
+    returned as it is when t* is not finite either.
+    """
+    n = len(dist)
+    t = max(row[j] for row, j in zip(dist, bottleneck))
+    if not 0.0 < t < math.inf:
+        return bottleneck
+    cutoff = n ** (1.0 / q) * t
+    unusable = float(n + 1)
+    return _min_sum_assignment(
+        [[(d / t) ** q if d <= cutoff else unusable for d in row] for row in dist]
+    )
 
 
 def _min_sum_assignment(cost: list[list[float]]) -> list[int]:

@@ -201,3 +201,63 @@ def test_exhaustive_search_is_bit_identical_to_reference_at_n8(shape, p):
     rng = random.Random(f"match8-{shape}")
     computed, truth = MATCH_SHAPES[shape](rng, 8)
     _assert_matches_reference(computed, truth, p)
+
+
+# --- the assignment path (n > exhaustive_limit) at large p -------------------
+
+
+def _shuffled_with_offsets(rng, truth, offset):
+    """computed[i] = truth[perm[i]] + an offset of modulus below `offset`."""
+    perm = list(range(len(truth)))
+    rng.shuffle(perm)
+    computed = [truth[j] + offset * _cloud(rng, 1, 0.7)[0] for j in perm]
+    return computed, tuple(perm)
+
+
+def _assert_assignment_near_exhaustive(computed, truth, p):
+    perm, err = match_roots(computed, truth, p, exhaustive_limit=0)
+    _, best = match_roots(computed, truth, p, exhaustive_limit=len(truth))
+    assert sorted(perm) == list(range(len(truth)))
+    assert err == p_norm([a - truth[j] for a, j in zip(computed, perm)], p)
+    assert abs(err - best) <= 1e-12 * best, (computed, truth, p)
+
+
+def test_assignment_path_at_p800_does_not_overflow():
+    # Nine points in [-2, 2]^2: distances up to 4, and 4**800 overflows.
+    rng = random.Random("assign-p800")
+    truth = _cloud(rng, 9, 2.0)
+    assert min(abs(a - b) for a, b in itertools.combinations(truth, 2)) > 0.1
+    computed, perm = _shuffled_with_offsets(rng, truth, 1e-3)
+    got_perm, err = match_roots(computed, truth, 800)
+    assert got_perm == perm
+    assert err == p_norm([a - truth[j] for a, j in zip(computed, perm)], 800)
+
+
+def test_assignment_path_when_every_cost_underflows():
+    # Points 1e-3 apart, offsets below 1e-6: every d**2000 underflows to 0.
+    rng = random.Random("assign-p2000")
+    truth = [complex(1e-3 * k, 0) for k in range(5)]
+    computed, perm = _shuffled_with_offsets(rng, truth, 1e-6)
+    got_perm, err = match_roots(computed, truth, 2000, exhaustive_limit=0)
+    assert got_perm == perm
+    assert err < 1e-6
+    _assert_assignment_near_exhaustive(computed, truth, 2000)
+
+
+@pytest.mark.parametrize("p", [2, 3.5, 800, 2000])
+def test_assignment_path_is_within_1e12_of_exhaustive(p):
+    rng = random.Random(f"assign-{p}")
+    for n in range(2, 8):
+        for _ in range(3):
+            _assert_assignment_near_exhaustive(_cloud(rng, n, 2.0), _cloud(rng, n, 2.0), p)
+            truth = random_distinct_points(rng, n, radius=2e-3, min_sep=5e-4)
+            computed, _ = _shuffled_with_offsets(rng, truth, 1e-6)
+            _assert_assignment_near_exhaustive(computed, truth, p)
+
+
+def test_assignment_path_keeps_an_exact_match():
+    truth = [complex(k, -k) for k in range(10)]
+    computed = truth[3:] + truth[:3]
+    perm, err = match_roots(computed, truth, 2000)
+    assert perm == tuple(range(3, 10)) + (0, 1, 2)
+    assert err == 0.0
