@@ -203,8 +203,8 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
 
     Vanishes exactly when z is a root vector of f. Each den_i is a direct
     product formed row by row, its factors in ascending j. Unless `_separated`
-    rules it out in O(n log n), every pair i < j is checked for coincidence
-    as row i is built, so the first coincident pair in index order is reported
+    rules a coincidence out in O(n log n), every pair i < j is checked as
+    row i is built, so the first coincident pair in index order is reported
     before any later coordinate's NonFiniteValue. Overflow or a vanished
     product raises NonFiniteValue.
     """
