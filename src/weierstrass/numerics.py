@@ -89,7 +89,8 @@ def match_roots(
     is still exact: threshold bipartite matching gives the least largest
     distance t*, which is the answer for p = inf, and for finite p shortest
     augmenting paths minimize the sum of (d / t*)^p, which can neither
-    overflow nor all underflow to zero.
+    overflow nor all underflow to zero. A NaN distance there gives the
+    identity and a NaN error.
     """
     a = [complex(c) for c in computed]
     b = [complex(c) for c in truth]
@@ -106,6 +107,10 @@ def match_roots(
         best_perm = min(itertools.permutations(range(n)), key=score)
         return best_perm, score(best_perm)
 
+    if any(map(math.isnan, itertools.chain.from_iterable(dist))):
+        # A NaN distance orders no assignment before another; the n! search
+        # also gives the identity and NaN when every permutation scores NaN.
+        return tuple(range(n)), math.nan
     perm = _bottleneck_assignment(dist)
     if not math.isinf(norm.p):
         perm = _min_power_sum_assignment(dist, perm, norm.p)

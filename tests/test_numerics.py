@@ -261,3 +261,20 @@ def test_assignment_path_keeps_an_exact_match():
     perm, err = match_roots(computed, truth, 2000)
     assert perm == tuple(range(3, 10)) + (0, 1, 2)
     assert err == 0.0
+
+
+@pytest.mark.parametrize("side", ["computed", "truth"])
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+def test_assignment_path_returns_nan_for_a_nan_coordinate(side, p):
+    # Nine points take the assignment path. A NaN coordinate makes one row
+    # (or column) of distances NaN, so no assignment beats another: return
+    # the identity and a NaN error, as the n! search does at n = 8, p = 2.
+    rng = random.Random(f"assign-nan-{side}")
+    points = {"computed": _cloud(rng, 9), "truth": _cloud(rng, 9)}
+    bad = points[side][4]
+    points[side][4] = complex(bad.real, math.nan)
+    perm, err = match_roots(points["computed"], points["truth"], p)
+    assert perm == tuple(range(9))
+    assert math.isnan(err)
+    perm8, err8 = match_roots(points["computed"][:8], points["truth"][:8], 2)
+    assert perm8 == tuple(range(8)) and math.isnan(err8)
