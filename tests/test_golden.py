@@ -1,11 +1,13 @@
 """Golden CLI reports: every subcommand in both output formats, byte for byte.
 
-The problem set `data/golden/problems.jsonl` covers n = 2, 5, 20 and 60, plus
-z^100 - c from exact coefficients. Across its documents it uses p = 1, 2 and
-inf, all four methods and a conjugate-symmetric start (every coordinate
-shares its real part with a partner). Its runs reach every way a run can
-stop: `tol_e`, `tol_step` (after one update), `max_iter`, and an abort when
-the first update makes two coordinates coincide.
+The problem set `data/golden/problems.jsonl` covers n = 2, 4, 5, 12, 20 and
+60, plus z^100 - c from exact coefficients. Across its documents it uses
+p = 1, 2 and inf, all four methods, a conjugate-symmetric start (every
+coordinate shares its real part with a partner), the benchmark's batch
+document shape and entries that are not plain [re, im] pairs. Its runs
+reach every way a run can stop: `tol_e`, `tol_step` (after one update),
+`max_iter`, and an abort when the first update makes two coordinates
+coincide.
 
 The reports are a behaviour lock for refactors and speed-ups that must not
 change a single output byte. After a deliberate change of output, rebuild
@@ -111,6 +113,24 @@ def build_problems() -> list[dict]:
         },
         # The first update moves both points to 0: the run aborts at k = 1.
         {"coefficients": [[-2, 0], [0, 0]], "initial": [[2, 0], [1, 0]], "p": 2, "method": "plain"},
+        # The shape of the cli-batch benchmark documents: roots, a perturbed
+        # start and an integer p, with every other field left at its default.
+        {
+            "roots": _pairs(
+                (1 + 0.03 * (k % 3 - 1)) * cmath.exp(2j * math.pi * (k + 0.3 + 0.2 * (k % 4 - 1.5)) / 12)
+                for k in range(12)
+            ),
+            "initial": {"perturb_roots": 1e-4},
+            "p": 1,
+        },
+        # Bare-number coefficients, a leading pair, ints beside floats and
+        # signed zeros: entries that are not plain [re, im] pairs of numbers.
+        {
+            "coefficients": [-6, [0, 1.5], 2.25, [-0.0, -1]],
+            "leading": [2, -0.0],
+            "initial": [[-0.0, 1.9], [1, 0], [0.1, -1.2], [-1.2, -0.0]],
+            "p": 2,
+        },
     ]
     return docs
 
