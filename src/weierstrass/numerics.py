@@ -108,8 +108,7 @@ def match_roots(
         return best_perm, score(best_perm)
 
     if any(map(math.isnan, itertools.chain.from_iterable(dist))):
-        # A NaN distance orders no assignment before another; the n! search
-        # also gives the identity and NaN when every permutation scores NaN.
+        # No assignment beats another, as in the n! search at p = 2.
         return tuple(range(n)), math.nan
     perm = _bottleneck_assignment(dist)
     if not math.isinf(norm.p):
