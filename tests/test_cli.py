@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +241,67 @@ def test_certificate_is_computed_once_per_document(tmp_path, capsys, monkeypatch
     assert code == 0
     assert len(out.splitlines()) == len(docs)
     assert len(calls) == per_document * len(docs)
+
+
+
+def _record_calls(monkeypatch, name):
+    calls = []
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_plain_documents_skip_the_walk_and_per_entry_conversion(tmp_path, capsys, monkeypatch):
+    walks = _record_calls(monkeypatch, "_reject_non_finite")
+    conversions = _record_calls(monkeypatch, "_as_complex")
+    docs = [
+        WALKTHROUGH,
+        dict(WALKTHROUGH, p=2, h=0.5, max_iter=20, tol_e=0, tol_step=1e-15),
+        {"roots": [[1, 0], [-1, 0.5], [0.25, -1]], "initial": {"perturb_roots": 1e-3}, "p": 1},
+        {"coefficients": [[-1, 0], [0, 0]], "initial": [[2, 0], [-2.5, 0.1]], "method": "sor_wz"},
+    ]
+    path = tmp_path / "batch.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    for command in ("certify", "solve"):
+        _, out, err = run_cli(capsys, command, str(path))
+        assert len(out.splitlines()) == len(docs) and err == ""
+    assert walks == []
+    # Only the coefficients document's default leading coefficient, once per command.
+    assert conversions == [(1, "leading")] * 2
+
+
+def test_a_non_finite_value_takes_the_walk_that_names_it(tmp_path, capsys, monkeypatch):
+    walks = _record_calls(monkeypatch, "_reject_non_finite")
+    path = tmp_path / "problem.json"
+    path.write_text('{"roots": [[1, 0], [-1, 0]], "initial": [[2, 0], [-2, NaN]], "p": 2}\n')
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: initial[1][1]: expected a finite number, got nan\n"
+    assert walks
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    path = write_problem(tmp_path, WALKTHROUGH)
+    for argv in (("certify", path), ("--output", "text", "solve", path), ("radii", "--n", "3")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_shared_parser_is_unchanged_by_an_argument_error(capsys):
+    golden = Path(__file__).parent / "data" / "golden"
+    for bad in (["radii", "--n", "five"], ["--output", "text", "bogus"], ["--output", "xml", "radii", "--n", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err
+    # A text report, then a JSON one with every option at its default.
+    for argv, name in (
+        (["--output", "text", "radii", "--n", "5", "--p", "1"], "radii-n5-p1-text"),
+        (["radii", "--n", "2"], "radii-n2-pinf-json"),
+    ):
+        assert run_cli(capsys, *argv) == (0, (golden / f"{name}.out").read_text(), "")
 
 
 def test_text_output_smoke(tmp_path, capsys):
