@@ -89,8 +89,8 @@ def match_roots(
     is still exact: threshold bipartite matching gives the least largest
     distance t*, which is the answer for p = inf, and for finite p shortest
     augmenting paths minimize the sum of (d / t*)^p, which can neither
-    overflow nor all underflow to zero. A NaN distance there gives the
-    identity and a NaN error.
+    overflow nor all underflow to zero. When a NaN coordinate leaves no
+    matching, the identity is returned with a NaN error.
     """
     a = [complex(c) for c in computed]
     b = [complex(c) for c in truth]
@@ -107,10 +107,9 @@ def match_roots(
         best_perm = min(itertools.permutations(range(n)), key=score)
         return best_perm, score(best_perm)
 
-    if any(map(math.isnan, itertools.chain.from_iterable(dist))):
-        # No assignment beats another, as in the n! search at p = 2.
-        return tuple(range(n)), math.nan
     perm = _bottleneck_assignment(dist)
+    if perm is None:
+        return tuple(range(n)), math.nan
     if not math.isinf(norm.p):
         perm = _min_power_sum_assignment(dist, perm, norm.p)
     return tuple(perm), p_norm([a[i] - b[perm[i]] for i in range(n)], norm)
@@ -217,9 +216,9 @@ def _min_sum_assignment(cost: list[list[float]]) -> list[int]:
     return perm
 
 
-def _bottleneck_assignment(dist: list[list[float]]) -> list[int]:
-    """Exact min-max assignment: binary search over thresholds, each checked by
-    a bipartite perfect-matching test (Kuhn's augmenting paths)."""
+def _bottleneck_assignment(dist: list[list[float]]) -> list[int] | None:
+    """Exact min-max assignment: binary search over thresholds, each checked by a
+    perfect matching (Kuhn's augmenting paths); None if none admits one (NaN)."""
     n = len(dist)
     values = sorted({d for row in dist for d in row})
 
@@ -250,7 +249,8 @@ def _bottleneck_assignment(dist: list[list[float]]) -> list[int]:
             hi = mid - 1
         else:
             lo = mid + 1
-    assert best is not None  # the full threshold always admits a matching
+    if best is None:
+        return None
     perm = [0] * n
     for j, i in enumerate(best):
         perm[i] = j
