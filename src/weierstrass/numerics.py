@@ -217,10 +217,10 @@ def _min_sum_assignment(cost: list[list[float]]) -> list[int]:
 
 
 def _bottleneck_assignment(dist: list[list[float]]) -> list[int] | None:
-    """Exact min-max assignment: binary search over thresholds, each checked by a
-    perfect matching (Kuhn's augmenting paths); None if none admits one (NaN)."""
+    """Exact min-max assignment: binary search over the non-NaN thresholds, each
+    checked by Kuhn's augmenting paths; None if no threshold admits a matching."""
     n = len(dist)
-    values = sorted({d for row in dist for d in row})
+    values = sorted({d for row in dist for d in row if d == d})
 
     def matching_under(limit: float) -> list[int] | None:
         match = [-1] * n  # match[j] = row assigned to column j
