@@ -92,9 +92,9 @@ def _reject_non_finite(value: Any, where: str) -> None:
             _reject_non_finite(item, f"{where}.{key}" if where else key)
 
 
-def _plain_pairs(raw: Any) -> list | None:
-    """raw's numbers in order if it is a list of [re, im] lists of ints or floats (not bools)."""
-    if type(raw) is list and set(map(type, raw)) == {list} and set(map(len, raw)) == {2}:
+def _plain_pairs(raw: list) -> list | None:
+    """raw's numbers in order if its entries are [re, im] lists of ints or floats (not bools)."""
+    if set(map(type, raw)) == {list} and set(map(len, raw)) == {2}:
         flat = list(chain.from_iterable(raw))
         if set(map(type, flat)) <= {int, float}:
             return flat
