@@ -234,7 +234,11 @@ def valid_documents(n, rng):
     mixed = [c if rng.random() < 0.7 else _part(rng) for c in coefficients]
     return [
         {"roots": roots, "initial": _points(rng, n), **_options(rng)},
-        {"roots": roots, "initial": {"perturb_roots": rng.choice((1e-4, 1e-3, 1))}, **_options(rng)},
+        {
+            "roots": roots,
+            "initial": {"perturb_roots": rng.choice((1e-4, 1e-3, 1))},
+            **_options(rng),
+        },
         {"coefficients": coefficients, "initial": _points(rng, n), **_options(rng)},
         {
             "coefficients": mixed,

@@ -117,7 +117,8 @@ def build_problems() -> list[dict]:
         # start and an integer p, with every other field left at its default.
         {
             "roots": _pairs(
-                (1 + 0.03 * (k % 3 - 1)) * cmath.exp(2j * math.pi * (k + 0.3 + 0.2 * (k % 4 - 1.5)) / 12)
+                (1 + 0.03 * (k % 3 - 1))
+                * cmath.exp(2j * math.pi * (k + 0.3 + 0.2 * (k % 4 - 1.5)) / 12)
                 for k in range(12)
             ),
             "initial": {"perturb_roots": 1e-4},
