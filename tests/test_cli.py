@@ -228,12 +228,17 @@ def test_batch_files_emit_one_line_each(tmp_path, capsys):
     assert code == 2  # one of the runs did not converge
 
 
+def _record_calls(monkeypatch, name):
+    calls = []
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 @pytest.mark.parametrize("command, per_document", [("certify", 1), ("solve", 0), ("compare-sor", 0)])
 def test_certificate_is_computed_once_per_document(tmp_path, capsys, monkeypatch, command, per_document):
     # Counts the CLI's own calls only: run_sor binds the solver module's name.
-    calls = []
-    real = cli.certificate_from_quantity
-    monkeypatch.setattr(cli, "certificate_from_quantity", lambda *a: calls.append(a) or real(*a))
+    calls = _record_calls(monkeypatch, "certificate_from_quantity")
     docs = [WALKTHROUGH, dict(WALKTHROUGH, p=2), dict(WALKTHROUGH, initial=[[1.5, 0.2], [-1.5, 0.1]])]
     path = tmp_path / "batch.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
@@ -241,14 +246,6 @@ def test_certificate_is_computed_once_per_document(tmp_path, capsys, monkeypatch
     assert code == 0
     assert len(out.splitlines()) == len(docs)
     assert len(calls) == per_document * len(docs)
-
-
-
-def _record_calls(monkeypatch, name):
-    calls = []
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *a: calls.append(a) or real(*a))
-    return calls
 
 
 def test_plain_documents_skip_the_walk_and_per_entry_conversion(tmp_path, capsys, monkeypatch):
@@ -291,7 +288,11 @@ def test_parser_is_built_once_per_process(tmp_path, capsys):
 
 def test_shared_parser_is_unchanged_by_an_argument_error(capsys):
     golden = Path(__file__).parent / "data" / "golden"
-    for bad in (["radii", "--n", "five"], ["--output", "text", "bogus"], ["--output", "xml", "radii", "--n", "3"]):
+    for bad in (
+        ["radii", "--n", "five"],
+        ["--output", "text", "bogus"],
+        ["--output", "xml", "radii", "--n", "3"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(bad)
         assert exc.value.code == 2
