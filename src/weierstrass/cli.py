@@ -18,7 +18,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -61,7 +60,9 @@ class Problem:
 
 
 def _as_complex(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if isinstance(value, bool):
+        raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    if isinstance(value, (int, float)):
         return complex(value)
     if (
         isinstance(value, list)
@@ -92,43 +93,6 @@ def _reject_non_finite(value: Any, where: str) -> None:
             _reject_non_finite(item, f"{where}.{key}" if where else key)
 
 
-def _plain_pairs(raw: list) -> list | None:
-    """raw's numbers in order if its entries are [re, im] lists of ints or floats (not bools)."""
-    if set(map(type, raw)) == {list} and set(map(len, raw)) == {2}:
-        flat = list(chain.from_iterable(raw))
-        if set(map(type, flat)) <= {int, float}:
-            return flat
-    return None
-
-
-def _complex_entries(raw: list, field: str) -> list[complex]:
-    """Convert a list field; entries other than plain pairs go to _as_complex."""
-    flat = _plain_pairs(raw)
-    if flat is None:
-        return [_as_complex(value, f"{field}[{i}]") for i, value in enumerate(raw)]
-    return list(map(complex, flat[::2], flat[1::2]))
-
-
-def _finite_at_a_glance(doc: dict) -> bool:
-    """True when math.isfinite vouches for every number in the shapes valid
-    documents take; False leaves the verdict to _reject_non_finite's walk."""
-    numbers: list = []
-    for value in doc.values():
-        if type(value) is list:
-            flat = _plain_pairs(value)
-            if flat is None:
-                return False
-            numbers += flat
-        elif type(value) is dict:
-            numbers += value.values()
-        elif type(value) is not str:
-            numbers.append(value)
-    try:
-        return all(map(math.isfinite, numbers))
-    except (TypeError, OverflowError):
-        return False
-
-
 def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
@@ -156,8 +120,7 @@ def parse_problem(doc: Any) -> Problem:
     unknown = set(doc) - _PROBLEM_KEYS
     if unknown:
         raise ParseError(f"unknown keys: {sorted(unknown)}")
-    if not _finite_at_a_glance(doc):
-        _reject_non_finite(doc, "")
+    _reject_non_finite(doc, "")
     has_coeffs = "coefficients" in doc
     has_roots = "roots" in doc
     if has_coeffs == has_roots:
@@ -168,7 +131,7 @@ def parse_problem(doc: Any) -> Problem:
         raw = doc["coefficients"]
         if not isinstance(raw, list) or len(raw) < 2:
             raise ParseError('"coefficients" must be a list of at least 2 entries')
-        coeffs = _complex_entries(raw, "coefficients")
+        coeffs = [_as_complex(c, f"coefficients[{i}]") for i, c in enumerate(raw)]
         leading = _as_complex(doc.get("leading", 1), "leading")
         poly = Polynomial.from_coefficients(coeffs, leading)
         poly_echo: dict = {"coefficients": [_pair(c) for c in poly.coeffs]}
@@ -176,7 +139,7 @@ def parse_problem(doc: Any) -> Problem:
         raw = doc["roots"]
         if not isinstance(raw, list) or len(raw) < 2:
             raise ParseError('"roots" must be a list of at least 2 entries')
-        roots = tuple(_complex_entries(raw, "roots"))
+        roots = tuple(_as_complex(r, f"roots[{i}]") for i, r in enumerate(raw))
         poly = Polynomial.from_roots(roots)
         poly_echo = {"roots": [_pair(r) for r in roots]}
 
@@ -199,7 +162,7 @@ def parse_problem(doc: Any) -> Problem:
     elif isinstance(raw_initial, list):
         if len(raw_initial) != n:
             raise ParseError(f'"initial" has {len(raw_initial)} entries, polynomial degree is {n}')
-        z0 = tuple(_complex_entries(raw_initial, "initial"))
+        z0 = tuple(_as_complex(v, f"initial[{i}]") for i, v in enumerate(raw_initial))
     else:
         raise ParseError('"initial" must be a list of points or {"perturb_roots": eps}')
 
@@ -568,7 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "radii":
             if args.n < 2:

@@ -228,17 +228,12 @@ def test_batch_files_emit_one_line_each(tmp_path, capsys):
     assert code == 2  # one of the runs did not converge
 
 
-def _record_calls(monkeypatch, name):
-    calls = []
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *a: calls.append(a) or real(*a))
-    return calls
-
-
 @pytest.mark.parametrize("command, per_document", [("certify", 1), ("solve", 0), ("compare-sor", 0)])
 def test_certificate_is_computed_once_per_document(tmp_path, capsys, monkeypatch, command, per_document):
     # Counts the CLI's own calls only: run_sor binds the solver module's name.
-    calls = _record_calls(monkeypatch, "certificate_from_quantity")
+    calls = []
+    real = cli.certificate_from_quantity
+    monkeypatch.setattr(cli, "certificate_from_quantity", lambda *a: calls.append(a) or real(*a))
     docs = [WALKTHROUGH, dict(WALKTHROUGH, p=2), dict(WALKTHROUGH, initial=[[1.5, 0.2], [-1.5, 0.1]])]
     path = tmp_path / "batch.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
@@ -246,35 +241,6 @@ def test_certificate_is_computed_once_per_document(tmp_path, capsys, monkeypatch
     assert code == 0
     assert len(out.splitlines()) == len(docs)
     assert len(calls) == per_document * len(docs)
-
-
-def test_plain_documents_skip_the_walk_and_per_entry_conversion(tmp_path, capsys, monkeypatch):
-    walks = _record_calls(monkeypatch, "_reject_non_finite")
-    conversions = _record_calls(monkeypatch, "_as_complex")
-    docs = [
-        WALKTHROUGH,
-        dict(WALKTHROUGH, p=2, h=0.5, max_iter=20, tol_e=0, tol_step=1e-15),
-        {"roots": [[1, 0], [-1, 0.5], [0.25, -1]], "initial": {"perturb_roots": 1e-3}, "p": 1},
-        {"coefficients": [[-1, 0], [0, 0]], "initial": [[2, 0], [-2.5, 0.1]], "method": "sor_wz"},
-    ]
-    path = tmp_path / "batch.jsonl"
-    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
-    for command in ("certify", "solve"):
-        _, out, err = run_cli(capsys, command, str(path))
-        assert len(out.splitlines()) == len(docs) and err == ""
-    assert walks == []
-    # Only the coefficients document's default leading coefficient, once per command.
-    assert conversions == [(1, "leading")] * 2
-
-
-def test_a_non_finite_value_takes_the_walk_that_names_it(tmp_path, capsys, monkeypatch):
-    walks = _record_calls(monkeypatch, "_reject_non_finite")
-    path = tmp_path / "problem.json"
-    path.write_text('{"roots": [[1, 0], [-1, 0]], "initial": [[2, 0], [-2, NaN]], "p": 2}\n')
-    code, out, err = run_cli(capsys, "solve", str(path))
-    assert (code, out) == (1, "")
-    assert err == "error: initial[1][1]: expected a finite number, got nan\n"
-    assert walks
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys):

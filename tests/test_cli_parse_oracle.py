@@ -1,11 +1,9 @@
-"""`cli.parse_problem` against a frozen copy of its earlier validation.
+"""`cli.parse_problem` against a frozen copy of its validation.
 
-The parser vouches for a document with one C-level finiteness pass and
-converts plain [re, im] pair lists in one step; any other shape falls back to
-the per-value walk and the per-entry conversion that name the bad field. The
-reference below is that walk and that conversion applied to every document,
-as the parser did before. Both must give the same doubles, the same echo and
-the same exception, message included, on valid documents and on faulty ones.
+The reference below walks every value for NaN, infinities and integers beyond
+the double range, then converts each entry on its own, naming the bad field by
+its path. A faster parser must give the same doubles, the same echo and the
+same exception, message included, on valid documents and on faulty ones.
 """
 
 import cmath
