@@ -1,13 +1,13 @@
 """Golden CLI reports: every subcommand in both output formats, byte for byte.
 
-The problem set `data/golden/problems.jsonl` covers n = 2, 4, 5, 12, 20 and
-60, plus z^100 - c from exact coefficients. Across its documents it uses
+The problem set `data/golden/problems.jsonl` covers n = 2, 3, 4, 5, 12, 20
+and 60, plus z^100 - c from exact coefficients. Across its documents it uses
 p = 1, 2 and inf, all four methods, a conjugate-symmetric start (every
 coordinate shares its real part with a partner), the benchmark's batch
-document shape and entries that are not plain [re, im] pairs. Its runs
-reach every way a run can stop: `tol_e`, `tol_step` (after one update),
-`max_iter`, and an abort when the first update makes two coordinates
-coincide.
+document shape, entries that are not plain [re, im] pairs and a document
+that sets no option at all. Its runs reach every way a run can stop:
+`tol_e`, `tol_step` (after one update), `max_iter`, and an abort when the
+first update makes two coordinates coincide.
 
 The reports are a behaviour lock for refactors and speed-ups that must not
 change a single output byte. After a deliberate change of output, rebuild
@@ -132,6 +132,9 @@ def build_problems() -> list[dict]:
             "initial": [[-0.0, 1.9], [1, 0], [0.1, -1.2], [-1.2, -0.0]],
             "p": 2,
         },
+        # No option set: p, method, h, max_iter and the tolerances all take
+        # the SolverOptions defaults.
+        {"roots": [[1, 0], [-0.5, 0.9], [-0.5, -0.9]], "initial": [[1.1, 0.1], [-0.4, 1], [-0.6, -0.8]]},
     ]
     return docs
 
