@@ -122,6 +122,9 @@ def _table_score(
     dist[i][j] = abs(a[i] - b[j]) with the same terms in the same order."""
     pick = list.__getitem__
     if math.isinf(norm.p):
+        if any(d != d for row in dist for d in row):
+            # max() would skip a NaN that is not first; p_norm does not.
+            return lambda perm: p_norm([a[i] - b[j] for i, j in enumerate(perm)], norm)
         return lambda perm: max(map(pick, dist, perm))
     if norm.p == 1:
         return lambda perm: sum(map(pick, dist, perm))

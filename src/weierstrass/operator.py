@@ -68,10 +68,15 @@ def p_norm(v: Sequence[complex], p: NormLike) -> float:
     A power sum that is zero, subnormal or overflows is recomputed scaled by
     the max modulus m, as m (sum (|v_i|/m)^p)^(1/p); otherwise, and always at
     p = 1 and p = inf, the result is the unscaled formula's, bit for bit.
+    The result is NaN whenever a modulus is NaN, at every p.
     """
     norm = as_norm(p)
     if math.isinf(norm.p):
-        return max((abs(x) for x in v), default=0.0)
+        # max() skips a NaN that is not first; a sum of moduli is NaN exactly
+        # when one of them is.
+        mods = list(map(abs, v))
+        total = sum(mods)
+        return total if total != total else max(mods, default=0.0)
     if norm.p == 1:
         return sum(abs(x) for x in v)
     q = norm.p
@@ -92,7 +97,9 @@ def _scaled_p_norm(v: Sequence[complex], q: float) -> float:
     mods = [math.hypot(x.real, x.imag) if x != x else abs(x) for x in v]
     top = max(mods, default=0.0)
     if not 0.0 < top < math.inf:
-        return top
+        # Zero, inf, or a NaN that max() met first. The moduli then sum to
+        # zero or inf, or to NaN if any of them is NaN.
+        return sum(mods, 0.0)
     return top * sum((m / top) ** q for m in mods) ** (1.0 / q)
 
 

@@ -103,6 +103,15 @@ def test_assignment_path_agrees_with_exhaustive():
         assert err_assignment == pytest.approx(err_exhaustive, abs=1e-12)
 
 
+def test_match_roots_at_p_inf_gives_the_same_result_for_reversed_lists():
+    # |inf - (inf + 0.5j)| is NaN, so the identity pairing scores NaN in both
+    # orders, as p_norm of its differences does.
+    forward = match_roots([math.inf, 1], [complex(math.inf, 0.5), 2], math.inf)
+    backward = match_roots([1, math.inf], [2, complex(math.inf, 0.5)], math.inf)
+    for perm, err in (forward, backward):
+        assert perm == (0, 1) and math.isnan(err)
+
+
 def test_match_roots_length_mismatch():
     with pytest.raises(ValueError):
         match_roots((1, 2), (1, 2, 3), 2)

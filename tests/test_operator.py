@@ -76,6 +76,23 @@ def test_p_norm_edge_values():
     assert math.isnan(p_norm([complex(-1.98, 1.03), complex(0.5, math.nan)], 2000))
 
 
+@pytest.mark.parametrize("p", [1, 2, 2000, math.inf])
+@pytest.mark.parametrize(
+    "v",
+    [
+        [1, complex(math.nan, 0)],
+        [0, math.nan],
+        [math.inf, math.nan],
+        # 1e300**2 overflows, so at p = 2 the rescaled pass decides.
+        [1e300, math.inf, complex(0.5, math.nan)],
+    ],
+)
+def test_p_norm_is_nan_whenever_an_entry_is_nan(v, p):
+    # max() keeps a NaN only when it comes first, so both orders are checked.
+    assert math.isnan(p_norm(v, p))
+    assert math.isnan(p_norm(v[::-1], p))
+
+
 def test_correction_at_root_vector_is_zero():
     assert weierstrass_correction(SQUARE, (1, -1)) == (0j, 0j)
 
