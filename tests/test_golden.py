@@ -134,7 +134,10 @@ def build_problems() -> list[dict]:
         },
         # No option set: p, method, h, max_iter and the tolerances all take
         # the SolverOptions defaults.
-        {"roots": [[1, 0], [-0.5, 0.9], [-0.5, -0.9]], "initial": [[1.1, 0.1], [-0.4, 1], [-0.6, -0.8]]},
+        {
+            "roots": [[1, 0], [-0.5, 0.9], [-0.5, -0.9]],
+            "initial": [[1.1, 0.1], [-0.4, 1], [-0.6, -0.8]],
+        },
     ]
     return docs
 
