@@ -34,8 +34,6 @@ INF_LINEAR_OFFSET = 0.6869
 PETKOVIC_HERCEG_SLOPE = 1.76325
 PETKOVIC_HERCEG_OFFSET = 0.8689425
 
-_BISECT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -90,7 +88,7 @@ def _radius_cached(n: int, p_value: float) -> float:
     norm = NormIndex(p_value)
     b = 2.0 ** (1.0 / norm.q)
     hi = (1.0 / b) * (1.0 - 1e-12)
-    return bisect(lambda x: majorant(x, n, norm) - 1.0, 0.0, hi, tol=_BISECT_TOL)
+    return bisect(lambda x: majorant(x, n, norm) - 1.0, 0.0, hi)
 
 
 def convergence_radius(n: int, p: NormLike) -> float:
@@ -198,7 +196,7 @@ def aposteriori_bound(
 @lru_cache(maxsize=None)
 def solve_exp_fixed_point() -> float:
     """Unique solution A of exp(1/A) = A, bracketed in (1, 3); about 1.763222."""
-    return bisect(lambda x: math.exp(1.0 / x) - x, 1.0, 3.0, tol=_BISECT_TOL)
+    return bisect(lambda x: math.exp(1.0 / x) - x, 1.0, 3.0)
 
 
 def radius_exp_majorant(n: int, p: NormLike, sharp: bool = False) -> float:
@@ -233,12 +231,7 @@ def radius_sum_norm() -> float:
     Unique root in (0, 1) of x/(1-x)^2 * exp(x/(1-x)) = 1, the n -> inf
     envelope of the p = 1 majorant, so the value certifies every degree.
     """
-    return bisect(
-        lambda x: x / (1.0 - x) ** 2 * math.exp(x / (1.0 - x)) - 1.0,
-        1e-9,
-        0.9,
-        tol=_BISECT_TOL,
-    )
+    return bisect(lambda x: x / (1.0 - x) ** 2 * math.exp(x / (1.0 - x)) - 1.0, 1e-9, 0.9)
 
 
 def radius_han(n: int, p: NormLike) -> float:
@@ -291,12 +284,7 @@ def c_wangzhao_inf(n: int) -> float:
     """
     _check_degree(n)
     upper = 2.0 ** (1.0 / (n - 1)) - 1.0
-    t = bisect(
-        lambda x: 2.0 - (1.0 + x) ** (n - 2) * (1.0 + n * x),
-        0.0,
-        upper,
-        tol=_BISECT_TOL,
-    )
+    t = bisect(lambda x: 2.0 - (1.0 + x) ** (n - 2) * (1.0 + n * x), 0.0, upper)
     value = 2.0 * t - t * (1.0 + t) ** (n - 1)
     closed_form = 2.0 * (n - 1) * t * t / (1.0 + n * t)
     if abs(value - closed_form) > 1e-9:
@@ -333,7 +321,7 @@ def c_wangzhao_l1(n: int) -> float:
     best = min(range(len(xs)), key=lambda i: objective(xs[i]))
     lo = xs[best] - 0.01 if best > 0 else 1e-12
     hi = xs[best] + 0.01 if best < len(xs) - 1 else 3.0
-    _, fmin = minimize_1d(objective, lo, hi, tol=_BISECT_TOL)
+    _, fmin = minimize_1d(objective, lo, hi)
     return -fmin
 
 

@@ -37,18 +37,11 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
-_PROBLEM_KEYS = {
-    "coefficients",
-    "leading",
-    "roots",
-    "initial",
-    "p",
-    "method",
-    "h",
-    "max_iter",
-    "tol_e",
-    "tol_step",
-}
+#: The numeric SolverOptions fields a document may set, in the order they are
+#: checked, with the type each must have; numbers are passed on as floats.
+_NUMERIC_OPTIONS = {"h": float, "max_iter": int, "tol_e": float, "tol_step": float}
+
+_PROBLEM_KEYS = {"coefficients", "leading", "roots", "initial", "p", "method", *_NUMERIC_OPTIONS}
 
 
 @dataclass(frozen=True)
@@ -132,8 +125,10 @@ def parse_problem(doc: Any) -> Problem:
         if not isinstance(raw, list) or len(raw) < 2:
             raise ParseError('"coefficients" must be a list of at least 2 entries')
         coeffs = [_as_complex(c, f"coefficients[{i}]") for i, c in enumerate(raw)]
-        leading = _as_complex(doc.get("leading", 1), "leading")
-        poly = Polynomial.from_coefficients(coeffs, leading)
+        if "leading" in doc:
+            poly = Polynomial.from_coefficients(coeffs, _as_complex(doc["leading"], "leading"))
+        else:
+            poly = Polynomial.from_coefficients(coeffs)
         poly_echo: dict = {"coefficients": [_pair(c) for c in poly.coeffs]}
     else:
         raw = doc["roots"]
@@ -166,44 +161,36 @@ def parse_problem(doc: Any) -> Problem:
     else:
         raise ParseError('"initial" must be a list of points or {"perturb_roots": eps}')
 
-    p_value = _parse_p(doc.get("p", "inf"))
-    method = doc.get("method", "plain")
-    if not isinstance(method, str):
-        raise ParseError(f'"method" must be a string, got {method!r}')
-    h = doc.get("h", 1.0)
-    if isinstance(h, bool) or not isinstance(h, (int, float)):
-        raise ParseError(f'"h" must be a number, got {h!r}')
-    max_iter = doc.get("max_iter", 100)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int):
-        raise ParseError(f'"max_iter" must be an integer, got {max_iter!r}')
-    tol_e = doc.get("tol_e", 1e-13)
-    tol_step = doc.get("tol_step", 0.0)
-    for name, value in (("tol_e", tol_e), ("tol_step", tol_step)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f'"{name}" must be a number, got {value!r}')
+    # Only the fields the document sets reach SolverOptions, which holds every
+    # default.
+    settings: dict[str, Any] = {}
+    if "p" in doc:
+        settings["p"] = _parse_p(doc["p"])
+    if "method" in doc:
+        if not isinstance(doc["method"], str):
+            raise ParseError(f'"method" must be a string, got {doc["method"]!r}')
+        settings["mode"] = doc["method"]
+    for name, kind in _NUMERIC_OPTIONS.items():
+        if name in doc:
+            value = doc[name]
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                what = "an integer" if kind is int else "a number"
+                raise ParseError(f'"{name}" must be {what}, got {value!r}')
+            settings[name] = kind(value)
     try:
-        options = SolverOptions(
-            p=NormIndex(p_value),
-            mode=method,
-            h=float(h),
-            max_iter=max_iter,
-            tol_e=float(tol_e),
-            tol_step=float(tol_step),
-        )
+        options = SolverOptions(**settings)
     except ValueError as exc:
         raise ParseError(str(exc))
 
-    echo = dict(poly_echo)
-    echo.update(
-        {
-            "initial": [_pair(z) for z in z0],
-            "p": _encode_p(p_value),
-            "method": method,
-            "h": float(h),
-            "max_iter": max_iter,
-            "tol_e": float(tol_e),
-            "tol_step": float(tol_step),
-        }
+    echo = dict(
+        poly_echo,
+        initial=[_pair(z) for z in z0],
+        p=_encode_p(options.p.p),
+        method=options.mode,
+        h=options.h,
+        max_iter=options.max_iter,
+        tol_e=options.tol_e,
+        tol_step=options.tol_step,
     )
     return Problem(poly=poly, z0=z0, options=options, echo=echo)
 

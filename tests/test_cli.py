@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 import weierstrass.cli as cli
 from weierstrass.cli import _emit, _encode, main, parse_problem
-from weierstrass.solver import run_sor
+from weierstrass.solver import SolverOptions, run_sor
 
 WALKTHROUGH = {
     "roots": [[1, 0], [-1, 0]],
@@ -288,6 +289,23 @@ def test_perturb_directions_are_deterministic():
     # angle 0 and angle pi
     assert problem.z0[0] == pytest.approx(1.125)
     assert problem.z0[1] == pytest.approx(-1.125)
+
+
+def test_omitted_options_take_the_solver_defaults(tmp_path, capsys, monkeypatch):
+    # The CLI restates no default: whatever SolverOptions gives a field the
+    # document leaves out is what the report echoes and the run uses.
+    patched = functools.partial(SolverOptions, max_iter=7, tol_e=1e-9)
+    monkeypatch.setattr(cli, "SolverOptions", patched)
+    converging = {"roots": [[1, 0], [-1, 0]], "initial": [[2, 0], [-2, 0]]}
+    stuck = dict(converging, initial=[[100, 0], [-100, 0]])
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, [converging, stuck]))
+    assert code == 2
+    first, second = map(json.loads, out.splitlines())
+    for report in (first, second):
+        assert report["input"]["max_iter"] == 7 and report["input"]["tol_e"] == 1e-9
+    errors = [record["e"] for record in first["trace"]["records"]]
+    assert first["result"]["converged"] and errors[-1] <= 1e-9 < errors[-2]
+    assert not second["result"]["converged"] and second["result"]["iterations"] == 7
 
 
 def test_integer_p_matches_float_p():
