@@ -340,38 +340,31 @@ def radii_report(n: int, p_value: float) -> tuple[dict, int]:
 
 
 def compare_sor_report(problem: Problem) -> tuple[dict, int]:
-    runs = {}
-    for label, mode in (("wz", "sor_wz"), ("new", "sor_new")):
-        trace = run_sor(problem.poly, problem.z0, replace(problem.options, mode=mode))
-        runs[label] = trace
-    ratios = []
-    wz_h = [r.h for r in runs["wz"].records]
-    new_h = [r.h for r in runs["new"].records]
-    for k in range(min(len(wz_h), len(new_h))):
-        if new_h[k] < 1.0:
-            ratios.append(
-                {"k": k, "h_new": new_h[k], "h_wz": wz_h[k], "ratio": new_h[k] / wz_h[k]}
-            )
+    runs = {
+        label: run_sor(problem.poly, problem.z0, replace(problem.options, mode=mode))
+        for label, mode in (("wz", "sor_wz"), ("new", "sor_new"))
+    }
+    result: dict = {
+        label: {
+            "converged": trace.converged,
+            "iterations": trace.steps,
+            "h": [r.h for r in trace.records],
+        }
+        for label, trace in runs.items()
+    }
+    result["ratios"] = [
+        {"k": k, "h_new": h_new, "h_wz": h_wz, "ratio": h_new / h_wz}
+        for k, (h_wz, h_new) in enumerate(zip(result["wz"]["h"], result["new"]["h"]))
+        if h_new < 1.0
+    ]
     n, p = problem.poly.degree, problem.options.p
     report = {
         "input": problem.echo,
         "certificate": _certificate_block(runs["wz"].certificate, n, p),
         "trace": {label: _trace_block(trace) for label, trace in runs.items()},
-        "result": {
-            "wz": {
-                "converged": runs["wz"].converged,
-                "iterations": runs["wz"].steps,
-                "h": wz_h,
-            },
-            "new": {
-                "converged": runs["new"].converged,
-                "iterations": runs["new"].steps,
-                "h": new_h,
-            },
-            "ratios": ratios,
-        },
+        "result": result,
     }
-    ok = runs["wz"].converged and runs["new"].converged
+    ok = all(trace.converged for trace in runs.values())
     return report, EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
@@ -452,12 +445,11 @@ def _radii_text(report: dict) -> str:
 def _compare_text(report: dict) -> str:
     result = report["result"]
     lines = [
-        f"wz : converged={'yes' if result['wz']['converged'] else 'no'} "
-        f"iterations={result['wz']['iterations']}",
-        f"new: converged={'yes' if result['new']['converged'] else 'no'} "
-        f"iterations={result['new']['iterations']}",
-        f"{'k':>4} {'h_new':>12} {'h_wz':>12} {'ratio':>10}",
+        f"{label:<3}: converged={'yes' if result[label]['converged'] else 'no'} "
+        f"iterations={result[label]['iterations']}"
+        for label in ("wz", "new")
     ]
+    lines.append(f"{'k':>4} {'h_new':>12} {'h_wz':>12} {'ratio':>10}")
     for row in result["ratios"]:
         lines.append(
             f"{row['k']:>4} {_fmt(row['h_new']):>12} {_fmt(row['h_wz']):>12} "
