@@ -10,15 +10,11 @@ from .errors import ConvergenceFailure, NoSignChange
 from .operator import _MIN_NORMAL, NormIndex, NormLike, as_norm, p_norm
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Steps bisect and minimize_1d take before giving up on reaching width tol.
+_STEP_CAP = 200
 
 
-def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
+def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
     """Bisection root of f on [lo, hi]; requires a sign change on the bracket."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -29,7 +25,7 @@ def bisect(
         return hi
     if (flo < 0.0) == (fhi < 0.0):
         raise NoSignChange(f"f({lo}) = {flo:.3g} and f({hi}) = {fhi:.3g} have equal sign")
-    for _ in range(max_iter):
+    for _ in range(_STEP_CAP):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -40,15 +36,11 @@ def bisect(
             hi = mid
         if hi - lo <= tol:
             return 0.5 * (lo + hi)
-    raise ConvergenceFailure(f"bisection did not reach width {tol} in {max_iter} iterations")
+    raise ConvergenceFailure(f"bisection did not reach width {tol} in {_STEP_CAP} iterations")
 
 
 def minimize_1d(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
 ) -> tuple[float, float]:
     """Golden-section minimum of a unimodal f on [lo, hi]; returns (argmin, min)."""
     if not lo < hi:
@@ -56,7 +48,7 @@ def minimize_1d(
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_STEP_CAP):
         if hi - lo <= tol:
             x = 0.5 * (lo + hi)
             return x, f(x)
@@ -68,7 +60,9 @@ def minimize_1d(
             lo, c, fc = c, d, fd
             d = lo + _INV_PHI * (hi - lo)
             fd = f(d)
-    raise ConvergenceFailure(f"golden section did not reach width {tol} in {max_iter} iterations")
+    raise ConvergenceFailure(
+        f"golden section did not reach width {tol} in {_STEP_CAP} iterations"
+    )
 
 
 def match_roots(

@@ -5,7 +5,14 @@ import random
 import pytest
 
 from conftest import random_distinct_points
-from weierstrass import NoSignChange, bisect, match_roots, minimize_1d, p_norm
+from weierstrass import (
+    ConvergenceFailure,
+    NoSignChange,
+    bisect,
+    match_roots,
+    minimize_1d,
+    p_norm,
+)
 
 
 def test_bisect_sqrt2():
@@ -37,6 +44,13 @@ def test_bisect_result_is_bracket_stable():
     assert f(root - tol) <= 0.0 <= f(root + tol)
 
 
+def test_bisect_raises_when_the_width_is_out_of_reach():
+    # With tol = 0 the bracket stops shrinking at adjacent doubles around
+    # sqrt(2), where x * x - 2 is never 0, so the 200-step cap is reached.
+    with pytest.raises(ConvergenceFailure, match="in 200 iterations"):
+        bisect(lambda x: x * x - 2.0, 1.0, 2.0, tol=0.0)
+
+
 def test_minimize_parabola():
     x, fx = minimize_1d(lambda x: (x - 1.0) ** 2, 0.0, 3.0, tol=1e-10)
     assert x == pytest.approx(1.0, abs=1e-8)
@@ -54,6 +68,11 @@ def test_minimize_degree_four_sum_norm_objective():
     f = lambda x: 0.75 * x ** 2 + 0.25 * x ** 3 + x ** 4 / 24.0 - x
     x, fx = minimize_1d(f, 1e-6, 3.0, tol=1e-12)
     assert fx == pytest.approx(-0.279, abs=1e-3)
+
+
+def test_minimize_raises_when_the_width_is_out_of_reach():
+    with pytest.raises(ConvergenceFailure, match="in 200 iterations"):
+        minimize_1d(lambda x: (x - 1.0) ** 2, 0.0, 3.0, tol=0.0)
 
 
 def test_minimum_is_interior_local_minimum():
