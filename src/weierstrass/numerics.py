@@ -79,12 +79,13 @@ def match_roots(
     serves as its own oracle. Each score comes from the table of moduli
     |computed[i] - truth[j]| (and their p-th powers), summed in index order,
     and is bit-identical to p_norm of that permutation's differences: where
-    p_norm would rescale, the score calls it. Beyond the limit the assignment
-    is still exact: threshold bipartite matching gives the least largest
-    distance t*, which is the answer for p = inf, and for finite p shortest
-    augmenting paths minimize the sum of (d / t*)^p, which can neither
-    overflow nor all underflow to zero. When a NaN coordinate leaves no
-    matching, the identity is returned with a NaN error.
+    p_norm would rescale, or a NaN distance meets p = inf, the score calls
+    it. Beyond the limit the assignment is still exact: threshold bipartite
+    matching gives the least largest distance t*, which is the answer for
+    p = inf, and for finite p shortest augmenting paths minimize the sum of
+    (d / t*)^p, which can neither overflow nor all underflow to zero. When a
+    NaN coordinate leaves no matching, the identity is returned with a NaN
+    error.
     """
     a = [complex(c) for c in computed]
     b = [complex(c) for c in truth]
