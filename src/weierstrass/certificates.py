@@ -103,19 +103,17 @@ def convergence_radius(n: int, p: NormLike) -> float:
 
 def certificate_from_quantity(e: float, n: int, p: NormLike) -> Certificate:
     """Build the certificate for a point whose quantity E equals e."""
-    _check_degree(n)
     norm = as_norm(p)
-    b = 2.0 ** (1.0 / norm.q)
-    in_domain = 0.0 <= e < min(1.0, 1.0 / b)
-    lam = majorant(e, n, norm) if in_domain else math.inf
-    theta = 1.0 - b * e
-    satisfied = in_domain and lam <= 1.0
+    try:
+        lam = majorant(e, n, norm)
+    except DomainViolation:
+        lam = math.inf
     return Certificate(
         e0=e,
         lam=lam,
-        theta=theta,
-        satisfied=satisfied,
-        strict=satisfied and lam < 1.0,
+        theta=1.0 - 2.0 ** (1.0 / norm.q) * e,
+        satisfied=lam <= 1.0,
+        strict=lam < 1.0,
     )
 
 

@@ -43,6 +43,10 @@ _NUMERIC_OPTIONS = {"h": float, "max_iter": int, "tol_e": float, "tol_step": flo
 
 _PROBLEM_KEYS = {"coefficients", "leading", "roots", "initial", "p", "method", *_NUMERIC_OPTIONS}
 
+#: The exact types json.loads gives a JSON number. bool subclasses int, so
+#: `type(v) in _NUMBER` also keeps out true and false.
+_NUMBER = (int, float)
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -53,15 +57,9 @@ class Problem:
 
 
 def _as_complex(value: Any, where: str) -> complex:
-    if isinstance(value, bool):
-        raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
-    if isinstance(value, (int, float)):
+    if type(value) in _NUMBER:
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(type(t) in _NUMBER for t in value):
         return complex(value[0], value[1])
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
@@ -69,9 +67,9 @@ def _as_complex(value: Any, where: str) -> complex:
 def _reject_non_finite(value: Any, where: str) -> None:
     """Reject JSON's NaN and Infinity literals, and integers too large for a
     double, which no problem field can take."""
-    if isinstance(value, float) and not math.isfinite(value):
+    if type(value) is float and not math.isfinite(value):
         raise ParseError(f"{where}: expected a finite number, got {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:
         try:
             float(value)
         except OverflowError:
@@ -91,13 +89,11 @@ def _pair(z: complex) -> list[float]:
 
 
 def _parse_p(value: Any) -> float:
-    if isinstance(value, str):
-        if value.lower() == "inf":
-            return math.inf
+    if isinstance(value, str) and value.lower() == "inf":
+        return math.inf
+    if type(value) not in _NUMBER:
         raise ParseError(f'p must be a number >= 1 or "inf", got {value!r}')
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f'p must be a number >= 1 or "inf", got {value!r}')
-    if value < 1:
+    if not value >= 1:
         raise ParseError(f"p must be at least 1, got {value}")
     return float(value)
 
@@ -148,7 +144,7 @@ def parse_problem(doc: Any) -> Problem:
         if roots is None:
             raise ParseError('"perturb_roots" needs the polynomial given by its roots')
         eps = raw_initial["perturb_roots"]
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or eps <= 0:
+        if type(eps) not in _NUMBER or eps <= 0:
             raise ParseError(f'"perturb_roots" must be a positive number, got {eps!r}')
         # Deterministic unit directions at angles 2*pi*i/n, no RNG involved.
         z0 = tuple(
@@ -173,7 +169,7 @@ def parse_problem(doc: Any) -> Problem:
     for name, kind in _NUMERIC_OPTIONS.items():
         if name in doc:
             value = doc[name]
-            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            if type(value) not in (int, kind):
                 what = "an integer" if kind is int else "a number"
                 raise ParseError(f'"{name}" must be {what}, got {value!r}')
             settings[name] = kind(value)
@@ -516,7 +512,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "radii":
             if args.n < 2:
                 raise ParseError(f"--n must be at least 2, got {args.n}")
-            p_value = _parse_p(args.p if args.p == "inf" else _number(args.p))
+            p_value = _parse_p(_number(args.p))
             report, code = radii_report(args.n, p_value)
             _emit("radii", report, args.output)
             return code
@@ -532,7 +528,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             _emit(args.command, report, args.output)
             worst = max(worst, code)
         return worst
-    except (WeierstrassError, ValueError) as exc:
+    except (WeierstrassError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

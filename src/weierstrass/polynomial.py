@@ -63,8 +63,6 @@ class Polynomial:
         vector is known exactly, by design.
         """
         pts = [complex(r) for r in roots]
-        if len(pts) < 2:
-            raise DegreeTooSmall(f"need at least 2 roots, got {len(pts)}")
         if len(pts) > max_degree:
             raise DegreeTooLarge(f"degree {len(pts)} exceeds cap {max_degree}")
         # Equal complexes hash equally (0.0 and -0.0 included), so the set

@@ -161,6 +161,30 @@ def test_certificate_agrees_with_radius_formulation():
         assert cert.satisfied == (e <= radius)
 
 
+@pytest.mark.parametrize("where", ["edge", "above-edge", "one", "inf", "nan"])
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+def test_certificate_outside_the_majorant_domain(p, where):
+    q = NormIndex(p).q
+    edge = min(1.0, 2.0 ** (-1.0 / q))
+    e = {
+        "edge": edge,
+        "above-edge": math.nextafter(edge, math.inf),
+        "one": 1.0,
+        "inf": math.inf,
+        "nan": math.nan,
+    }[where]
+    cert = certificate_from_quantity(e, 5, p)
+    assert cert.lam == math.inf
+    assert not cert.satisfied
+    assert not cert.strict
+    assert cert.theta.hex() == (1.0 - 2.0 ** (1.0 / q) * e).hex()
+
+
+def test_certificate_needs_degree_two():
+    with pytest.raises(ValueError, match=r"^degree must be at least 2, got 1$"):
+        certificate_from_quantity(0.1, 1, 2)
+
+
 # --- error bounds ----------------------------------------------------------
 
 

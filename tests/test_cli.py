@@ -61,6 +61,18 @@ def test_solve_reports_nonconvergence(tmp_path, capsys):
     assert json.loads(out)["result"]["converged"] is False
 
 
+@pytest.mark.parametrize("command", ["certify", "solve", "compare-sor"])
+def test_overflowing_differences_are_an_input_error(tmp_path, capsys, command):
+    # Every point is finite, but |z0 - z1| is beyond the double range.
+    doc = {
+        "coefficients": [[0.5, 0], [0.5, 0], [0.5, 0]],
+        "initial": [[1.5e308, 0], [1, 1.5e308], [0.5, 0]],
+    }
+    code, out, err = run_cli(capsys, command, write_problem(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert err == "error: absolute value too large\n"
+
+
 def test_malformed_json_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json\n")
@@ -156,6 +168,8 @@ def test_radii_rejects_bad_arguments(capsys):
     assert run_cli(capsys, "radii", "--n", "1", "--p", "inf")[0] == 1
     assert run_cli(capsys, "radii", "--n", "4", "--p", "0.5")[0] == 1
     assert run_cli(capsys, "radii", "--n", "4", "--p", "abc")[0] == 1
+    # NaN is not >= 1, so it fails the CLI's own p rule.
+    assert run_cli(capsys, "radii", "--n", "4", "--p", "nan") == (1, "", "error: p must be at least 1, got nan\n")
 
 
 def test_compare_sor_walkthrough(tmp_path, capsys):

@@ -23,7 +23,7 @@ def test_from_coefficients_scaling():
 
 
 def test_from_coefficients_rejects_degree_one():
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(DegreeTooSmall, match=r"^degree must be at least 2, got 1$"):
         Polynomial.from_coefficients([-1])
 
 
@@ -48,7 +48,7 @@ def test_from_roots_hand_expansion():
 def test_from_roots_rejects_duplicates():
     with pytest.raises(DuplicateRoots):
         Polynomial.from_roots([1, 1])
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(DegreeTooSmall, match=r"^degree must be at least 2, got 1$"):
         Polynomial.from_roots([1])
 
 
