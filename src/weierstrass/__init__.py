@@ -3,10 +3,10 @@
 Finds all zeros of a monic complex polynomial at once by iterating
 z^(k+1) = z^k - W(z^k), where W is the Weierstrass correction. Convergence is
 certified from data at the initial point alone through the single scalar
-quantity E(z0) = ||W(z0)/d(z0)||_p, and every iterate carries rigorous a
-priori and a posteriori error bounds. The package also tabulates the family
-of published sufficient convergence radii and implements the damped (SOR)
-variant of the iteration.
+quantity E(z0) = ||W(z0)/d(z0)||_p, and every iterate carries the paper's a
+priori and a posteriori error bounds, evaluated in floating point with no
+rounding term yet (ROADMAP 2b). The package also tabulates the published
+sufficient convergence radii and implements the damped (SOR) iteration.
 """
 
 __version__ = "0.1.0"

@@ -134,22 +134,11 @@ def run_sor(poly: Polynomial, z0: Sequence[complex], opts: SolverOptions | None 
     opts = SolverOptions() if opts is None else opts
     damping = _DAMPING[opts.mode]
     z: PointVector = tuple(complex(c) for c in z0)
+    data = certificate_quantity(poly, z, opts.p)
+    cert0 = cert_k = certificate_from_quantity(data.e, poly.degree, opts.p)
     records: list[IterationRecord] = []
-    cert0: Certificate | None = None
     run_error: str | None = None
-    k = 0
-    while True:
-        try:
-            data = certificate_quantity(poly, z, opts.p)
-        except (DistinctCoordinatesViolated, NonFiniteValue) as exc:
-            if k == 0:
-                raise
-            run_error = f"aborted at k = {k}: {exc}"
-            converged, final, steps = False, records[-1].z, k - 1
-            break
-        cert_k = certificate_from_quantity(data.e, poly.degree, opts.p)
-        if cert0 is None:
-            cert0 = cert_k
+    for k in range(opts.max_iter + 1):
         w_norm = p_norm(data.w, opts.p)
         h = damping(opts.h, data)
         step_norm = h * w_norm
@@ -167,20 +156,23 @@ def run_sor(poly: Polynomial, z0: Sequence[complex], opts: SolverOptions | None 
                 h=h,
             )
         )
+        converged, final, steps = False, z, k
         if data.e <= opts.tol_e:
-            converged, final, steps = True, z, k
+            converged = True
             break
-        z_next = tuple(zi - h * wi for zi, wi in zip(z, data.w))
+        z = tuple(zi - h * wi for zi, wi in zip(z, data.w))
         if opts.tol_step > 0.0 and step_norm <= opts.tol_step:
-            converged, final, steps = True, z_next, k + 1
+            converged, final, steps = True, z, k + 1
             break
-        if k >= opts.max_iter:
-            converged, final, steps = False, z, k
+        if k == opts.max_iter:
             break
-        z = z_next
-        k += 1
+        try:
+            data = certificate_quantity(poly, z, opts.p)
+        except (DistinctCoordinatesViolated, NonFiniteValue, OverflowError) as exc:
+            run_error = f"aborted at k = {k + 1}: {exc}"
+            break
+        cert_k = certificate_from_quantity(data.e, poly.degree, opts.p)
 
-    assert cert0 is not None
     curve: tuple[float, ...] = ()
     if cert0.satisfied and len(records) >= 2 and all(r.h == 1.0 for r in records):
         first_step = records[0].step_norm

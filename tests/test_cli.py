@@ -73,6 +73,20 @@ def test_overflowing_differences_are_an_input_error(tmp_path, capsys, command):
     assert err == "error: absolute value too large\n"
 
 
+def test_overflowing_later_iterate_is_an_abort_not_an_input_error(tmp_path, capsys):
+    # z0 is fine; the first update makes a difference overflow. The run is
+    # recorded as aborted, and the next document of the batch still runs.
+    overflow = {"coefficients": [[1.3e300, 0], [0, 0]], "initial": [[0, 0], [1e-8, 1e-8]], "method": "plain"}
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps(overflow) + "\n" + json.dumps(WALKTHROUGH) + "\n")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, err) == (2, "")
+    aborted, solved = [json.loads(line) for line in out.splitlines()]
+    assert aborted["trace"]["error"] == "aborted at k = 1: absolute value too large"
+    assert aborted["result"]["iterations"] == 0
+    assert solved["result"]["converged"] is True
+
+
 def test_malformed_json_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json\n")
@@ -80,6 +94,29 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "error" in err
+
+
+def test_missing_file_is_an_input_error(tmp_path, capsys):
+    path = str(tmp_path / "absent.jsonl")
+    code, out, err = run_cli(capsys, "solve", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
+def test_blank_lines_between_documents_are_skipped(tmp_path, capsys):
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps(WALKTHROUGH) + "\n\n   \n\t\n" + json.dumps(WALKTHROUGH) + "\n")
+    code, out, _ = run_cli(capsys, "solve", str(path))
+    assert code == 0
+    assert len(out.splitlines()) == 2
+
+
+def test_whitespace_only_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "blank.jsonl"
+    path.write_text("  \n\n\t \n")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: no JSON documents found\n"
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,10 @@ def test_match_roots_length_mismatch():
         match_roots((1, 2), (1, 2, 3), 2)
 
 
+def test_match_roots_of_no_points():
+    assert match_roots([], []) == ((), 0.0)
+
+
 # --- the table-driven exhaustive search against a per-permutation reference --
 
 

@@ -124,6 +124,18 @@ def test_midrun_collision_returns_partial_trace():
     assert trace.steps == 0
 
 
+def test_midrun_overflow_returns_partial_trace():
+    # z0 is fine, but the first update lands at +-6.5e307 (1 - i): finite
+    # coordinates whose difference has a modulus beyond the double range.
+    poly = Polynomial.from_coefficients([1.3e300, 0])
+    trace = run_sor(poly, (0, 1e-8 + 1e-8j), SolverOptions(mode="plain"))
+    assert not trace.converged
+    assert trace.error == "aborted at k = 1: absolute value too large"
+    assert len(trace.records) == 1
+    assert trace.final == (0j, 1e-8 + 1e-8j)
+    assert trace.steps == 0
+
+
 def test_initial_collision_raises():
     with pytest.raises(DistinctCoordinatesViolated):
         run_weierstrass(SQUARE, (1, 1))
@@ -135,6 +147,17 @@ def test_iteration_cap():
     assert len(trace.records) == 4  # iterates 0..3
     assert trace.records[-1].k == 3
     assert trace.steps == 3
+
+
+def test_step_rule_fires_before_the_cap_on_the_last_allowed_step():
+    # Step norms 0.75 then 0.225: the second step is within tol_step at
+    # k = max_iter, so it is taken and the run converges.
+    opts = SolverOptions(max_iter=1, tol_e=0.0, tol_step=0.3)
+    trace = run_weierstrass(SQUARE, (2, -2), opts)
+    assert trace.converged
+    assert trace.steps == 2
+    assert len(trace.records) == 2
+    assert trace.final == (1.025 + 0j, -1.025 + 0j)
 
 
 def test_step_norm_stopping_rule():
