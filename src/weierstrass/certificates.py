@@ -56,6 +56,13 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree must be at least 2, got {n}")
 
 
+def _norm_factors(n: int, p: NormLike) -> tuple[NormIndex, float, float]:
+    """Check the degree; return the norm, a = (n-1)^(1/q) and b = 2^(1/q)."""
+    _check_degree(n)
+    norm = as_norm(p)
+    return norm, (n - 1) ** (1.0 / norm.q), 2.0 ** (1.0 / norm.q)
+
+
 def majorant(x: float, n: int, p: NormLike) -> float:
     """The scalar convergence test function.
 
@@ -64,9 +71,7 @@ def majorant(x: float, n: int, p: NormLike) -> float:
     strictly increasing, and blows up at the right end of its domain
     [0, min(1, 1/b)). Values above the domain raise DomainViolation.
     """
-    _check_degree(n)
-    norm = as_norm(p)
-    b = 2.0 ** (1.0 / norm.q)
+    norm, a, b = _norm_factors(n, p)
     limit = min(1.0, 1.0 / b)
     if not 0.0 <= x < limit:
         raise DomainViolation(f"argument must lie in [0, {limit:g}), got {x}")
@@ -74,7 +79,6 @@ def majorant(x: float, n: int, p: NormLike) -> float:
     den2 = 1.0 - b * x
     if den1 <= 0.0 or den2 <= 0.0:
         raise DomainViolation(f"argument {x} is too close to the domain edge {limit:g}")
-    a = (n - 1) ** (1.0 / norm.q)
     c = (n - 1) ** (1.0 / norm.p)
     try:
         growth = (1.0 + x / (c * den2)) ** (n - 1)
@@ -85,8 +89,7 @@ def majorant(x: float, n: int, p: NormLike) -> float:
 
 @lru_cache(maxsize=None)
 def _radius_cached(n: int, p_value: float) -> float:
-    norm = NormIndex(p_value)
-    b = 2.0 ** (1.0 / norm.q)
+    norm, _, b = _norm_factors(n, p_value)
     hi = (1.0 / b) * (1.0 - 1e-12)
     return bisect(lambda x: majorant(x, n, norm) - 1.0, 0.0, hi)
 
@@ -205,10 +208,7 @@ def radius_exp_majorant(n: int, p: NormLike, sharp: bool = False) -> float:
     exponential upper envelope of the majorant reaches 1, so it is larger and
     still certified.
     """
-    _check_degree(n)
-    norm = as_norm(p)
-    a = (n - 1) ** (1.0 / norm.q)
-    b = 2.0 ** (1.0 / norm.q)
+    _, a, b = _norm_factors(n, p)
     m = solve_exp_fixed_point() * a + b + 1.0
     if sharp:
         return 2.0 / (m + math.sqrt(m * m - 4.0 * b))
@@ -217,9 +217,8 @@ def radius_exp_majorant(n: int, p: NormLike, sharp: bool = False) -> float:
 
 def radius_simple(n: int, p: NormLike) -> float:
     """The plain closed form 1/(2(n-1)^(1/q) + 2)."""
-    _check_degree(n)
-    norm = as_norm(p)
-    return 1.0 / (2.0 * (n - 1) ** (1.0 / norm.q) + 2.0)
+    _, a, _ = _norm_factors(n, p)
+    return 1.0 / (2.0 * a + 2.0)
 
 
 @lru_cache(maxsize=None)
@@ -234,10 +233,7 @@ def radius_sum_norm() -> float:
 
 def radius_han(n: int, p: NormLike) -> float:
     """Han's threshold tau (1 - a tau) with tau = n(2^(1/n) - 1)/(a + b)."""
-    _check_degree(n)
-    norm = as_norm(p)
-    a = (n - 1) ** (1.0 / norm.q)
-    b = 2.0 ** (1.0 / norm.q)
+    _, a, b = _norm_factors(n, p)
     tau = n * (2.0 ** (1.0 / n) - 1.0) / (a + b)
     return tau * (1.0 - a * tau)
 

@@ -111,28 +111,22 @@ def parse_problem(doc: Any) -> Problem:
         raise ParseError(f"unknown keys: {sorted(unknown)}")
     _reject_non_finite(doc, "")
     has_coeffs = "coefficients" in doc
-    has_roots = "roots" in doc
-    if has_coeffs == has_roots:
+    if has_coeffs == ("roots" in doc):
         raise ParseError('exactly one of "coefficients" or "roots" is required')
+    field = "coefficients" if has_coeffs else "roots"
+    raw = doc[field]
+    if not isinstance(raw, list) or len(raw) < 2:
+        raise ParseError(f'"{field}" must be a list of at least 2 entries')
+    values = tuple(_as_complex(v, f"{field}[{i}]") for i, v in enumerate(raw))
 
     roots: tuple[complex, ...] | None = None
     if has_coeffs:
-        raw = doc["coefficients"]
-        if not isinstance(raw, list) or len(raw) < 2:
-            raise ParseError('"coefficients" must be a list of at least 2 entries')
-        coeffs = [_as_complex(c, f"coefficients[{i}]") for i, c in enumerate(raw)]
-        if "leading" in doc:
-            poly = Polynomial.from_coefficients(coeffs, _as_complex(doc["leading"], "leading"))
-        else:
-            poly = Polynomial.from_coefficients(coeffs)
-        poly_echo: dict = {"coefficients": [_pair(c) for c in poly.coeffs]}
+        leading = _as_complex(doc.get("leading", 1), "leading")
+        poly = Polynomial.from_coefficients(values, leading)
     else:
-        raw = doc["roots"]
-        if not isinstance(raw, list) or len(raw) < 2:
-            raise ParseError('"roots" must be a list of at least 2 entries')
-        roots = tuple(_as_complex(r, f"roots[{i}]") for i, r in enumerate(raw))
+        roots = values
         poly = Polynomial.from_roots(roots)
-        poly_echo = {"roots": [_pair(r) for r in roots]}
+    poly_echo = {field: [_pair(c) for c in (poly.coeffs if roots is None else roots)]}
 
     n = poly.degree
     if "initial" not in doc:
@@ -183,10 +177,7 @@ def parse_problem(doc: Any) -> Problem:
         initial=[_pair(z) for z in z0],
         p=_encode_p(options.p.p),
         method=options.mode,
-        h=options.h,
-        max_iter=options.max_iter,
-        tol_e=options.tol_e,
-        tol_step=options.tol_step,
+        **{name: getattr(options, name) for name in _NUMERIC_OPTIONS},
     )
     return Problem(poly=poly, z0=z0, options=options, echo=echo)
 
@@ -369,14 +360,8 @@ def compare_sor_report(problem: Problem) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: Any) -> str:
-    if x is None:
-        return "-"
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.6e}"
-    return str(x)
+def _fmt(x: float | None) -> str:
+    return "-" if x is None else f"{x:.6e}"
 
 
 def _certificate_text(block: dict) -> list[str]:
@@ -413,6 +398,10 @@ def _solve_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _omitted_text(rows: list[dict]) -> list[str]:
+    return [f"{row['name']:<20} omitted ({row['reason']})" for row in rows]
+
+
 def _certify_text(report: dict) -> str:
     lines = _certificate_text(report["certificate"])
     lines.append(f"{'name':<20} {'kind':<14} {'threshold':>13} {'quantity':>13}  verdict")
@@ -421,9 +410,7 @@ def _certify_text(report: dict) -> str:
             f"{row['name']:<20} {row['kind']:<14} {_fmt(row['threshold']):>13} "
             f"{_fmt(row['quantity']):>13}  {'pass' if row['pass'] else 'fail'}"
         )
-    for row in report["result"]["omitted"]:
-        lines.append(f"{row['name']:<20} omitted ({row['reason']})")
-    return "\n".join(lines)
+    return "\n".join(lines + _omitted_text(report["result"]["omitted"]))
 
 
 def _radii_text(report: dict) -> str:
@@ -433,9 +420,7 @@ def _radii_text(report: dict) -> str:
             f"{row['name']:<20} {row['kind']:<14} {_fmt(row['value']):>13} "
             f"{_fmt(row['majorant']):>13}"
         )
-    for row in report["result"]["omitted"]:
-        lines.append(f"{row['name']:<20} omitted ({row['reason']})")
-    return "\n".join(lines)
+    return "\n".join(lines + _omitted_text(report["result"]["omitted"]))
 
 
 def _compare_text(report: dict) -> str:

@@ -193,6 +193,4 @@ def run_weierstrass(
 ) -> IterationTrace:
     """Plain iteration z^(k+1) = z^k - W(z^k); any mode in opts is overridden."""
     opts = SolverOptions() if opts is None else opts
-    if opts.mode != "plain":
-        opts = replace(opts, mode="plain")
-    return run_sor(poly, z0, opts)
+    return run_sor(poly, z0, replace(opts, mode="plain"))
