@@ -32,10 +32,14 @@ RATIO_ACCEL_COEFF = 0.307541
 
 
 def _damped(scale: float, total: float) -> float:
-    return 1.0 if total == 0.0 else min(1.0, scale / total)
+    h = 1.0 if total == 0.0 else min(1.0, scale / total)
+    if not h > 0.0:
+        raise NonFiniteValue(f"damping h = {scale:g} / {total:g} is {h:g}, outside (0, 1]")
+    return h
 
 
-#: The damping h_k of each mode, from the fixed h and the data at z^k.
+#: The damping h_k of each mode, from the fixed h and the data at z^k; a
+#: damped factor that rounds to 0 raises NonFiniteValue.
 _DAMPING = {
     "plain": lambda h, data: 1.0,
     "sor_wz": lambda h, data: _damped(WZ_ACCEL_COEFF * data.delta, sum(map(abs, data.w))),
@@ -101,7 +105,7 @@ class IterationTrace:
     apriori_curve[i] is the initial-data error bound for iterate i+1; it is
     empty when the initial certificate fails or any step was damped. `error`
     carries the diagnostic when the run aborted mid-way (coincident
-    coordinates or overflow), in which case converged is False and `final`
+    coordinates, overflow or a damping of 0), in which case converged is False and `final`
     is the last valid iterate.
     """
 
@@ -127,20 +131,21 @@ def h_ratio(poly: Polynomial, z: Sequence[complex]) -> float:
 def run_sor(poly: Polynomial, z0: Sequence[complex], opts: SolverOptions | None = None) -> IterationTrace:
     """Iterate z^(k+1) = z^k - h_k W(z^k) with h_k picked by opts.mode.
 
-    The initial point must have pairwise distinct coordinates; a collision or
-    overflow at a later iterate aborts the run and returns the partial trace
-    with the diagnostic in `error` rather than perturbing the point.
+    The initial point must have pairwise distinct coordinates and a positive
+    damping; a collision, an overflow or a damping that rounds to 0 at a
+    later iterate aborts the run and returns the partial trace with the
+    diagnostic in `error` rather than perturbing the point.
     """
     opts = SolverOptions() if opts is None else opts
     damping = _DAMPING[opts.mode]
     z: PointVector = tuple(complex(c) for c in z0)
     data = certificate_quantity(poly, z, opts.p)
+    h = damping(opts.h, data)
     cert0 = cert_k = certificate_from_quantity(data.e, poly.degree, opts.p)
     records: list[IterationRecord] = []
     run_error: str | None = None
     for k in range(opts.max_iter + 1):
         w_norm = p_norm(data.w, opts.p)
-        h = damping(opts.h, data)
         step_norm = h * w_norm
         apost = _aposteriori(cert_k, step_norm) if h == 1.0 else None
         records.append(
@@ -168,6 +173,7 @@ def run_sor(poly: Polynomial, z0: Sequence[complex], opts: SolverOptions | None 
             break
         try:
             data = certificate_quantity(poly, z, opts.p)
+            h = damping(opts.h, data)
         except (DistinctCoordinatesViolated, NonFiniteValue, OverflowError) as exc:
             run_error = f"aborted at k = {k + 1}: {exc}"
             break

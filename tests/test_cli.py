@@ -87,6 +87,17 @@ def test_overflowing_later_iterate_is_an_abort_not_an_input_error(tmp_path, caps
     assert solved["result"]["converged"] is True
 
 
+@pytest.mark.parametrize("command, method", [("compare-sor", "plain"), ("solve", "sor_wz"), ("solve", "sor_new")])
+def test_damping_that_rounds_to_zero_is_an_input_error(tmp_path, capsys, command, method):
+    # sum |W_i| at z0 overflows to inf, so the damped factor would be 0.
+    doc = {"coefficients": [[1.3e300, 0], [0, 0]], "initial": [[0, 0], [1e-8, 1e-8]], "method": method}
+    code, out, err = run_cli(capsys, command, write_problem(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: damping h = ")
+    assert err.endswith(" / inf is 0, outside (0, 1]\n")
+    assert err.count("\n") == 1
+
+
 def test_malformed_json_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json\n")

@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+import weierstrass.solver as solver
 from weierstrass import (
     DistinctCoordinatesViolated,
+    NonFiniteValue,
     NormIndex,
     Polynomial,
     SolverOptions,
@@ -133,6 +135,44 @@ def test_midrun_overflow_returns_partial_trace():
     assert trace.error == "aborted at k = 1: absolute value too large"
     assert len(trace.records) == 1
     assert trace.final == (0j, 1e-8 + 1e-8j)
+    assert trace.steps == 0
+
+
+# At z0, W is +-6.5e307 (-1 + i): sum_i |W_i| overflows to inf, so both damped
+# factors would round to 0 and never move the point.
+HUGE = Polynomial.from_coefficients([1.3e300, 0])
+HUGE_Z0 = (0, 1e-8 + 1e-8j)
+
+
+@pytest.mark.parametrize("damping", [h_wangzhao, h_ratio])
+def test_damping_that_rounds_to_zero_raises(damping):
+    with pytest.raises(NonFiniteValue, match=r"^damping h = .* / inf is 0, outside \(0, 1\]$"):
+        damping(HUGE, HUGE_Z0)
+
+
+@pytest.mark.parametrize("mode", ["sor_wz", "sor_new"])
+def test_damped_run_raises_at_a_start_whose_damping_is_zero(mode):
+    with pytest.raises(NonFiniteValue, match="^damping h = "):
+        run_sor(HUGE, HUGE_Z0, SolverOptions(mode=mode))
+
+
+def test_damping_that_rounds_to_zero_later_aborts_the_run(monkeypatch):
+    # No natural input found reaches this case: the second damping is fed an
+    # overflowed sum instead.
+    calls = []
+    real = solver._damped
+
+    def second_sum_overflows(scale, total):
+        calls.append(total)
+        return real(scale, math.inf if len(calls) == 2 else total)
+
+    monkeypatch.setattr(solver, "_damped", second_sum_overflows)
+    trace = run_sor(SQUARE, (2, -2), SolverOptions(mode="sor_wz"))
+    assert len(calls) == 2
+    assert not trace.converged
+    assert trace.error.startswith("aborted at k = 1: damping h = ")
+    assert len(trace.records) == 1
+    assert trace.final == (2 + 0j, -2 + 0j)
     assert trace.steps == 0
 
 
