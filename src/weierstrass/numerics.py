@@ -79,13 +79,13 @@ def match_roots(
     serves as its own oracle. Each score comes from the table of moduli
     |computed[i] - truth[j]| (and their p-th powers), summed in index order,
     and is bit-identical to p_norm of that permutation's differences: where
-    p_norm would rescale, or a NaN distance meets p = inf, the score calls
-    it. Beyond the limit the assignment is still exact: threshold bipartite
-    matching gives the least largest distance t*, which is the answer for
-    p = inf, and for finite p shortest augmenting paths minimize the sum of
-    (d / t*)^p, which can neither overflow nor all underflow to zero. When a
-    NaN coordinate leaves no matching, the identity is returned with a NaN
-    error.
+    p_norm would rescale, the score calls it. Beyond the limit the
+    assignment is still exact: threshold bipartite matching gives the least
+    largest distance t*, which is the answer for p = inf, and for finite p
+    shortest augmenting paths minimize the sum of (d / t*)^p, which can
+    neither overflow nor all underflow to zero. On both paths no pairing
+    goes through a NaN distance (equal infinities or a NaN coordinate); when
+    every pairing does, the identity is returned with a NaN error.
     """
     a = [complex(c) for c in computed]
     b = [complex(c) for c in truth]
@@ -98,8 +98,13 @@ def match_roots(
 
     dist = [[abs(ai - bj) for bj in b] for ai in a]
     if n <= exhaustive_limit:
+        perms = itertools.permutations(range(n))
+        if any(d != d for row in dist for d in row):
+            perms = (s for s in perms if all(dist[i][j] == dist[i][j] for i, j in enumerate(s)))
         score = _table_score(a, b, dist, norm)
-        best_perm = min(itertools.permutations(range(n)), key=score)
+        best_perm = min(perms, key=score, default=None)
+        if best_perm is None:
+            return tuple(range(n)), math.nan
         return best_perm, score(best_perm)
 
     perm = _bottleneck_assignment(dist)
@@ -117,9 +122,6 @@ def _table_score(
     dist[i][j] = abs(a[i] - b[j]) with the same terms in the same order."""
     pick = list.__getitem__
     if math.isinf(norm.p):
-        if any(d != d for row in dist for d in row):
-            # max() would skip a NaN that is not first; p_norm does not.
-            return lambda perm: p_norm([a[i] - b[j] for i, j in enumerate(perm)], norm)
         return lambda perm: max(map(pick, dist, perm))
     if norm.p == 1:
         return lambda perm: sum(map(pick, dist, perm))

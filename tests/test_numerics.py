@@ -123,12 +123,15 @@ def test_assignment_path_agrees_with_exhaustive():
 
 
 def test_match_roots_at_p_inf_gives_the_same_result_for_reversed_lists():
-    # |inf - (inf + 0.5j)| is NaN, so the identity pairing scores NaN in both
-    # orders, as p_norm of its differences does.
-    forward = match_roots([math.inf, 1], [complex(math.inf, 0.5), 2], math.inf)
-    backward = match_roots([1, math.inf], [2, complex(math.inf, 0.5)], math.inf)
-    for perm, err in (forward, backward):
-        assert perm == (0, 1) and math.isnan(err)
+    # |inf - (inf + 0.5j)| is NaN, so the identity pairing has no error and
+    # is never picked: at p = 1, 2 and inf, both orders and the assignment
+    # path pair each infinity with a finite point, at error inf.
+    forward = ([math.inf, 1], [complex(math.inf, 0.5), 2])
+    backward = ([1, math.inf], [2, complex(math.inf, 0.5)])
+    for p in (1, 2, math.inf):
+        for computed, truth in (forward, backward):
+            assert match_roots(computed, truth, p, exhaustive_limit=0) == ((1, 0), math.inf)
+            assert match_roots(computed, truth, p) == ((1, 0), math.inf)
 
 
 def test_match_roots_length_mismatch():
