@@ -51,6 +51,26 @@ def test_bisect_raises_when_the_width_is_out_of_reach():
         bisect(lambda x: x * x - 2.0, 1.0, 2.0, tol=0.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+def test_bisect_and_minimize_need_lo_below_hi(lo, hi):
+    with pytest.raises(ValueError, match=r"need lo < hi"):
+        bisect(lambda x: x - 1.5, lo, hi)
+    with pytest.raises(ValueError, match=r"need lo < hi"):
+        minimize_1d(lambda x: (x - 1.5) ** 2, lo, hi)
+
+
+def test_bisect_returns_an_endpoint_where_f_is_zero():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x - 1.0
+
+    assert bisect(f, 1.0, 3.0) == 1.0
+    assert bisect(f, -3.0, -1.0) == -1.0
+    assert calls == [1.0, 3.0, -3.0, -1.0]
+
+
 def test_minimize_parabola():
     x, fx = minimize_1d(lambda x: (x - 1.0) ** 2, 0.0, 3.0, tol=1e-10)
     assert x == pytest.approx(1.0, abs=1e-8)

@@ -134,6 +134,12 @@ def test_distances_examples():
     assert delta == 1.0
 
 
+@pytest.mark.parametrize("z", [(), (1,)])
+def test_distances_need_two_points(z):
+    with pytest.raises(ValueError, match="need at least 2 coordinates"):
+        distances(z)
+
+
 def test_certificate_quantity_examples():
     data = certificate_quantity(SQUARE, (2, -2), math.inf)
     assert data.e == pytest.approx(0.1875)
