@@ -38,8 +38,7 @@ def _damped(scale: float, total: float) -> float:
     return h
 
 
-#: The damping h_k of each mode, from the fixed h and the data at z^k; a
-#: damped factor that rounds to 0 raises NonFiniteValue.
+#: The damping h_k of each mode, from the fixed h and the data at z^k.
 _DAMPING = {
     "plain": lambda h, data: 1.0,
     "sor_wz": lambda h, data: _damped(WZ_ACCEL_COEFF * data.delta, sum(map(abs, data.w))),
@@ -105,8 +104,8 @@ class IterationTrace:
     apriori_curve[i] is the initial-data error bound for iterate i+1; it is
     empty when the initial certificate fails or any step was damped. `error`
     carries the diagnostic when the run aborted mid-way (coincident
-    coordinates, overflow or a damping of 0), in which case converged is False and `final`
-    is the last valid iterate.
+    coordinates, overflow or a damping of 0), in which case converged is
+    False and `final` is the last valid iterate.
     """
 
     records: tuple[IterationRecord, ...]

@@ -77,12 +77,6 @@ def _points(rng, n, min_sep=0.05):
     return pts
 
 
-def _run(poly, z0, opts):
-    trace = run_sor(poly, z0, opts)
-    assert all(r.h > 0.0 for r in trace.records)
-    return trace
-
-
 def cases():
     """Yield (name, thunk) pairs; each thunk returns the value to digest."""
     rng = random.Random(SEED)
@@ -100,7 +94,7 @@ def cases():
             tol_step=rng.choice((0.0, 1e-8, 1e-2, 10.0)),
         )
         poly = Polynomial.from_roots(roots)
-        yield f"run-{i:03d}-n{n}-{opts.mode}", lambda poly=poly, z0=z0, opts=opts: _run(
+        yield f"run-{i:03d}-n{n}-{opts.mode}", lambda poly=poly, z0=z0, opts=opts: run_sor(
             poly, z0, opts
         )
 
@@ -116,7 +110,7 @@ def cases():
             for k in range(n)
         ]
         opts = SolverOptions(p=NormIndex(p), mode=mode, max_iter=cap)
-        yield f"zn100-{mode}", lambda poly=poly, z0=z0, opts=opts: _run(poly, z0, opts)
+        yield f"zn100-{mode}", lambda poly=poly, z0=z0, opts=opts: run_sor(poly, z0, opts)
 
     for i in range(MATCH_CASES):
         truth = _points(rng, 8, min_sep=1e-3)
