@@ -7,6 +7,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import sub
 from typing import Sequence, Union
 
@@ -118,40 +119,35 @@ def distances(z: Sequence[complex]) -> tuple[tuple[float, ...], float]:
     """Per-coordinate nearest-neighbour distances d_i = min_{j != i} |z_i - z_j|
     and their overall minimum delta.
 
-    A plane sweep over the points sorted by real part: from each point it
-    scans outward in both directions and stops once the real-part gap reaches
-    the best distance so far, which is exact because |z_i - z_j| >=
-    |Re(z_i - z_j)|. Every d_i is a minimum over the same separations as the
-    all-pairs formula, so the result is bit-identical to it. Non-finite
-    coordinates, and a pair closer than COINCIDENCE_FLOOR, fall back to the
-    all-pairs scan, which raises for the first coincident pair in index order.
+    A plane sweep over the finite points sorted by real part: from each point
+    it scans outward in both directions and stops once the real-part gap
+    reaches the best distance so far, which is exact because |z_i - z_j| >=
+    |Re(z_i - z_j)|. A separation involving a non-finite coordinate is inf or
+    NaN and lowers no minimum, so such a coordinate gets d_i = inf. Every d_i
+    is a minimum over the same separations as the all-pairs formula, so the
+    result is bit-identical to it, up to overflow: once some |z_i - z_j|
+    overflows (a part above 1e307 can), the sweep raises OverflowError only
+    for a pair it visits, where the all-pairs scan raises for any pair. When
+    delta < COINCIDENCE_FLOOR the rows are checked in index order, so the
+    error names the first coincident pair, as the all-pairs scan does.
     """
     pts = [complex(c) for c in z]
     n = len(pts)
     if n < 2:
         raise ValueError("need at least 2 coordinates")
-    if all(map(cmath.isfinite, pts)):
-        d = _sweep_distances(pts)
-        if min(d) >= COINCIDENCE_FLOOR:
-            return tuple(d), min(d)
-    d = _all_pairs_distances(pts)
-    return tuple(d), min(d)
-
-
-def _sweep_distances(pts: list[complex]) -> list[float]:
-    n = len(pts)
-    order = sorted(range(n), key=lambda k: pts[k].real)
+    order = sorted(compress(range(n), map(cmath.isfinite, pts)), key=lambda k: pts[k].real)
     xs = [pts[k] for k in order]
     res = [x.real for x in xs]
+    m = len(xs)
     d = [math.inf] * n
     # res[b] - ra is, up to sign, the computed real part of za - xs[b], and the
     # computed abs() of a complex never falls below that part's modulus: a
     # break skips no closer point, in rounded arithmetic too.
-    for a in range(n):
+    for a in range(m):
         za, ra = xs[a], res[a]
         best = math.inf
         b = a + 1
-        while b < n and res[b] - ra < best:
+        while b < m and res[b] - ra < best:
             sep = abs(za - xs[b])
             if sep < best:
                 best = sep
@@ -163,24 +159,22 @@ def _sweep_distances(pts: list[complex]) -> list[float]:
                 best = sep
             b -= 1
         d[order[a]] = best
-    return d
+    delta = min(d)
+    if delta < COINCIDENCE_FLOOR:
+        for i in range(n):
+            _check_coincidence(pts, i)
+    return tuple(d), delta
 
 
-def _all_pairs_distances(pts: list[complex]) -> list[float]:
-    n = len(pts)
-    d = [math.inf] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            sep = abs(pts[i] - pts[j])
-            if sep < COINCIDENCE_FLOOR:
-                raise DistinctCoordinatesViolated(
-                    f"coordinates {i} and {j} coincide (separation {sep:.3g})"
-                )
-            if sep < d[i]:
-                d[i] = sep
-            if sep < d[j]:
-                d[j] = sep
-    return d
+def _check_coincidence(pts: list[complex], i: int) -> None:
+    """Raise for the first j > i with |z_i - z_j| < COINCIDENCE_FLOOR."""
+    zi = pts[i]
+    for j in range(i + 1, len(pts)):
+        sep = abs(zi - pts[j])
+        if sep < COINCIDENCE_FLOOR:
+            raise DistinctCoordinatesViolated(
+                f"coordinates {i} and {j} coincide (separation {sep:.3g})"
+            )
 
 
 def _separated(pts: list[complex]) -> bool:
@@ -223,12 +217,7 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
     w = []
     for i, zi in enumerate(pts):
         if checked:
-            for j in range(i + 1, n):
-                sep = abs(zi - pts[j])
-                if sep < COINCIDENCE_FLOOR:
-                    raise DistinctCoordinatesViolated(
-                        f"coordinates {i} and {j} coincide (separation {sep:.3g})"
-                    )
+            _check_coincidence(pts, i)
         den = 1 + 0j
         for zj in pts[:i]:
             den *= zi - zj
