@@ -7,7 +7,7 @@ import math
 from typing import Callable, Sequence
 
 from .errors import ConvergenceFailure, NoSignChange
-from .operator import _MIN_NORMAL, NormIndex, NormLike, as_norm, p_norm
+from .operator import _MIN_NORMAL, NormIndex, NormLike, _moduli, as_norm, p_norm
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Steps bisect and minimize_1d take before giving up on reaching width tol.
@@ -96,7 +96,7 @@ def match_roots(
     if n == 0:
         return (), 0.0
 
-    dist = [[abs(ai - bj) for bj in b] for ai in a]
+    dist = [_moduli([ai - bj for bj in b]) for ai in a]
     if n <= exhaustive_limit:
         perms = itertools.permutations(range(n))
         if any(d != d for row in dist for d in row):

@@ -75,11 +75,11 @@ def p_norm(v: Sequence[complex], p: NormLike) -> float:
     if math.isinf(norm.p):
         # max() skips a NaN that is not first; a sum of moduli is NaN exactly
         # when one of them is.
-        mods = list(map(abs, v))
+        mods = _moduli(v)
         total = sum(mods)
         return total if total != total else max(mods, default=0.0)
     if norm.p == 1:
-        return sum(abs(x) for x in v)
+        return sum(_moduli(v))
     q = norm.p
     try:
         total = sum(abs(x) ** q for x in v)
@@ -90,12 +90,20 @@ def p_norm(v: Sequence[complex], p: NormLike) -> float:
     return total ** (1.0 / q)
 
 
+def _moduli(v: Sequence[complex]) -> list[float]:
+    """[abs(x) for x in v]. A caught overflow may leave errno at ERANGE, where
+    CPython's abs() of a complex with a NaN part raises: then those entries
+    take math.hypot, which gives the same value."""
+    try:
+        return list(map(abs, v))
+    except OverflowError:
+        return [math.hypot(x.real, x.imag) if x != x else abs(x) for x in v]
+
+
 def _scaled_p_norm(v: Sequence[complex], q: float) -> float:
     # Kept out of p_norm, whose frame would otherwise build one more closure
     # cell on every call; that keeps p_norm lean for its per-iteration callers.
-    # A caught overflow may leave errno at ERANGE, where CPython's abs() of a
-    # complex with a NaN part raises: those entries take math.hypot instead.
-    mods = [math.hypot(x.real, x.imag) if x != x else abs(x) for x in v]
+    mods = _moduli(v)
     top = max(mods, default=0.0)
     if not 0.0 < top < math.inf:
         # Zero, inf, or a NaN that max() met first. The moduli then sum to
@@ -170,7 +178,14 @@ def _check_coincidence(pts: list[complex], i: int) -> None:
     """Raise for the first j > i with |z_i - z_j| < COINCIDENCE_FLOOR."""
     zi = pts[i]
     for j in range(i + 1, len(pts)):
-        sep = abs(zi - pts[j])
+        diff = zi - pts[j]
+        try:
+            sep = abs(diff)
+        except OverflowError:
+            # A NaN part under a stale errno (see `_moduli`) is no coincidence.
+            if diff == diff:
+                raise
+            continue
         if sep < COINCIDENCE_FLOOR:
             raise DistinctCoordinatesViolated(
                 f"coordinates {i} and {j} coincide (separation {sep:.3g})"

@@ -154,6 +154,11 @@ def test_match_roots_at_p_inf_gives_the_same_result_for_reversed_lists():
             assert match_roots(computed, truth, p) == ((1, 0), math.inf)
 
 
+def test_match_roots_with_a_nan_coordinate(call):
+    perm, err = call(match_roots, [complex(math.nan, 0), 1, 2], [0, 1, 2], 2)
+    assert perm == (0, 1, 2) and math.isnan(err)
+
+
 def test_match_roots_length_mismatch():
     with pytest.raises(ValueError):
         match_roots((1, 2), (1, 2, 3), 2)

@@ -117,6 +117,26 @@ def test_correction_overflow_guard():
         weierstrass_correction(SQUARE, (1e200, -1e200))
 
 
+NAN_POINT = [complex(math.nan, 0), 0, 1]
+
+
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+def test_p_norm_of_a_nan_entry_is_nan(call, p):
+    assert math.isnan(call(p_norm, [complex(math.nan, 0), 1], p))
+
+
+def test_distances_of_a_nan_coordinate(call):
+    assert call(distances, NAN_POINT) == ((math.inf, 1.0, 1.0), 1.0)
+
+
+def test_correction_at_a_nan_coordinate(call):
+    poly = Polynomial.from_coefficients([0.5] * 3)
+    with pytest.raises(NonFiniteValue, match="coordinate 0"):
+        call(weierstrass_correction, poly, NAN_POINT)
+    with pytest.raises(DistinctCoordinatesViolated, match="coordinates 0 and 2"):
+        call(weierstrass_correction, poly, [0, complex(math.nan, 0), 0])
+
+
 def test_correction_checks_length():
     with pytest.raises(ValueError):
         weierstrass_correction(SQUARE, (1, 2, 3))
