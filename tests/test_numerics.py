@@ -173,21 +173,22 @@ def test_match_roots_of_no_points():
 
 def _reference_match(computed, truth, p):
     """The plain search: p_norm of every permutation's differences, keeping
-    the first strict minimum in lexicographic order."""
+    the first strict minimum in lexicographic order. A permutation that pairs
+    through a NaN distance is skipped; when every one does, the identity and
+    NaN are returned."""
     a = [complex(c) for c in computed]
     b = [complex(c) for c in truth]
     n = len(a)
-
-    def cost(perm):
-        return p_norm([a[i] - b[perm[i]] for i in range(n)], p)
-
-    best_perm = tuple(range(n))
-    best = cost(best_perm)
+    best_perm, best = None, math.nan
     for perm in itertools.permutations(range(n)):
-        err = cost(perm)
-        if err < best:
+        diffs = [a[i] - b[perm[i]] for i in range(n)]
+        # math.hypot is abs() of a complex without CPython's errno check.
+        if any(math.isnan(math.hypot(d.real, d.imag)) for d in diffs):
+            continue
+        err = p_norm(diffs, p)
+        if best_perm is None or err < best:
             best, best_perm = err, perm
-    return best_perm, best
+    return (tuple(range(n)), math.nan) if best_perm is None else (best_perm, best)
 
 
 MATCH_PS = (1, 1.5, 2, 3.5, math.inf, 800, 2000)
@@ -214,6 +215,15 @@ def _with_non_finite(rng, n):
     return computed, truth
 
 
+def _equal_infinities(rng, n):
+    # One computed and one true point at +inf real part with different
+    # imaginary parts: their distance is |nan + yj|, NaN.
+    computed, truth = _cloud(rng, n), _cloud(rng, n)
+    computed[rng.randrange(n)] = complex(math.inf, 0.0)
+    truth[rng.randrange(n)] = complex(math.inf, 0.5)
+    return computed, truth
+
+
 MATCH_SHAPES = {
     "cloud": lambda rng, n: (_cloud(rng, n), _cloud(rng, n)),
     "near": lambda rng, n: _near_match(rng, n, 1e-3),
@@ -229,6 +239,7 @@ MATCH_SHAPES = {
         [1e155 * z for z in _cloud(rng, n, 1.0)],
     ),
     "non_finite": _with_non_finite,
+    "equal_infinities": _equal_infinities,
 }
 
 
