@@ -17,6 +17,7 @@ from weierstrass import (
     DistinctCoordinatesViolated,
     NonFiniteValue,
     Polynomial,
+    certificate_quantity,
     distances,
     weierstrass_correction,
 )
@@ -171,6 +172,37 @@ def test_degenerate_inputs_match_reference(z):
     assert _outcome(weierstrass_correction, poly, z) == _outcome(reference_correction, poly, z)
 
 
+DEGENERATE_PARTS = (NAN, INF, -INF, 0.0, -0.0, 1e-310, 1e-300, 1e307, -1e307)
+
+
+def _degenerate_part(rng):
+    return rng.choice(DEGENERATE_PARTS) if rng.random() < 0.4 else rng.uniform(-2, 2)
+
+
+def _degenerate_point(rng, n):
+    """n points whose parts mix non-finite values, signed zeros, subnormal and
+    near-floor values and parts of modulus 1e307, with repeated points."""
+    pts = []
+    for _ in range(n):
+        if pts and rng.random() < 0.2:
+            pts.append(rng.choice(pts))
+        else:
+            pts.append(complex(_degenerate_part(rng), _degenerate_part(rng)))
+    return pts
+
+
+def test_degenerate_sweep_matches_reference():
+    # Every part is at most 1e307 in modulus, so no |z_i - z_j| overflows.
+    rng = random.Random("oracle/degenerate")
+    poly = {n: Polynomial.from_coefficients([0.5] * n) for n in range(2, 10)}
+    for _ in range(2000):
+        z = _degenerate_point(rng, rng.randint(2, 9))
+        assert _outcome(distances, z) == _outcome(reference_distances, z), z
+        assert _outcome(weierstrass_correction, poly[len(z)], z) == _outcome(
+            reference_correction, poly[len(z)], z
+        ), z
+
+
 def test_conjugate_pair_keeps_the_sign_of_zero():
     # z_1 - z_0 is 0+2j but -(z_0 - z_1) is -0+2j, and under f(z) = z^2 the
     # sign of that zero reaches the imaginary part of W_1.
@@ -226,6 +258,17 @@ def test_separation_boundary_matches_reference(z):
     poly = Polynomial.from_coefficients([0.5] * len(z))
     got = _outcome_with_overflow(weierstrass_correction, poly, z)
     assert got == _outcome_with_overflow(reference_correction, poly, z)
+
+
+def test_distances_raise_only_for_a_pair_the_sweep_visits():
+    # |1.5e308 - 1.5e308j| overflows, but the sweep stops before that pair:
+    # the all-pairs scan, and W (which certificate_quantity calls first), raise.
+    z = [1.5e308j, 1.5e308, 5]
+    assert distances(z) == ((1.5e308,) * 3, 1.5e308)
+    with pytest.raises(OverflowError):
+        reference_distances(z)
+    with pytest.raises(OverflowError):
+        certificate_quantity(Polynomial.from_coefficients([0.5] * 3), z, 2)
 
 
 SEPARATED = {
