@@ -2,8 +2,9 @@
 
 `weierstrass_correction` skips its per-pair coincidence check when the
 sorted parts of the points rule a coincidence out, and `distances` sweeps the
-points in real-part order. Both promise the exact doubles, and the exact
-exceptions, of the direct formulas below.
+finite points in real-part order. Both promise the exact doubles, and the
+exact exceptions, of the direct formulas below, except that `distances`
+raises OverflowError only for a pair its sweep visits.
 """
 
 import cmath
