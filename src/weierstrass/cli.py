@@ -1,12 +1,13 @@
 """Command-line front end: solve, certify, radii, and compare-sor.
 
-Problem files hold line-delimited JSON documents (a single document may also
-span the whole file, and a top-level array is treated as a batch). Complex
-numbers are [re, im] pairs; p = inf is encoded as the string "inf". Reports
-are JSON objects with fixed top-level keys input/certificate/trace/result,
-one line per problem, with floats at full round-trip precision so identical
-inputs produce byte-identical output. Exit codes: 0 success/convergence,
-1 input or domain error, 2 non-convergence (or a failed certificate check).
+Problem files hold JSON documents separated by whitespace, one per line or
+over several; a file that holds exactly one array is a batch, and a decode
+error names its line. Complex numbers are [re, im] pairs; p = inf is encoded
+as the string "inf". Reports are JSON objects with fixed top-level keys
+input/certificate/trace/result, one line per problem, with floats at full
+round-trip precision so identical inputs produce byte-identical output. Exit
+codes: 0 success/convergence, 1 input or domain error, 2 non-convergence (or
+a failed certificate check).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -182,27 +184,28 @@ def parse_problem(doc: Any) -> Problem:
     return Problem(poly=poly, z0=z0, options=options, echo=echo)
 
 
+#: Whitespace between documents is what str.isspace accepts, so blank lines of
+#: form feeds or other Unicode spaces separate documents as newlines do.
+_SPACE = re.compile(r"\s*")
+_DECODER = json.JSONDecoder()
+
+
 def load_documents(path: str) -> list[Any]:
-    """Read problem documents: one JSON per line, or one document per file."""
+    """Read problem documents: whitespace-separated JSON values; one array is a batch."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        docs = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                docs.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}")
-        if not docs:
-            raise ParseError(f"{path}: no JSON documents found")
-        return docs
-    return doc if isinstance(doc, list) else [doc]
+    docs, end = [], 0
+    while (pos := _SPACE.match(text, end).end()) < len(text):
+        try:
+            doc, end = _DECODER.raw_decode(text, pos)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc}")
+        docs.append(doc)
+    if not docs:
+        raise ParseError(f"{path}: no JSON documents found")
+    return docs[0] if len(docs) == 1 and isinstance(docs[0], list) else docs
 
 
 def _encode(obj: Any) -> Any:
@@ -441,11 +444,12 @@ def _compare_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-_TEXT_RENDERERS = {
-    "solve": _solve_text,
-    "certify": _certify_text,
-    "radii": _radii_text,
-    "compare-sor": _compare_text,
+#: Each command's report builder and text renderer; radii builds from (n, p).
+_COMMANDS = {
+    "solve": (solve_report, _solve_text),
+    "certify": (certify_report, _certify_text),
+    "radii": (radii_report, _radii_text),
+    "compare-sor": (compare_sor_report, _compare_text),
 }
 
 
@@ -462,7 +466,7 @@ def _emit(command: str, report: dict, output: str) -> None:
             text = json.dumps(_encode(report))
         print(text)
     else:
-        print(_TEXT_RENDERERS[command](report))
+        print(_COMMANDS[command][1](report))
 
 
 @lru_cache(maxsize=None)
@@ -491,25 +495,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    build = _COMMANDS[args.command][0]
     try:
         if args.command == "radii":
             if args.n < 2:
                 raise ParseError(f"--n must be at least 2, got {args.n}")
-            p_value = _parse_p(_number(args.p))
-            report, code = radii_report(args.n, p_value)
-            _emit("radii", report, args.output)
-            return code
-        builders = {
-            "solve": solve_report,
-            "certify": certify_report,
-            "compare-sor": compare_sor_report,
-        }
-        builder = builders[args.command]
+            inputs = [(args.n, _parse_p(_number(args.p)))]
+        else:
+            # Lazy, so document k is parsed only after report k - 1 is out.
+            inputs = ((parse_problem(doc),) for doc in load_documents(args.file))
         worst = EXIT_OK
-        for doc in load_documents(args.file):
-            report, code = builder(parse_problem(doc))
+        for arguments in inputs:
+            report, code = build(*arguments)
             _emit(args.command, report, args.output)
             worst = max(worst, code)
         return worst

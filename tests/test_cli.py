@@ -130,6 +130,24 @@ def test_whitespace_only_file_is_an_input_error(tmp_path, capsys):
     assert err == f"error: {path}: no JSON documents found\n"
 
 
+def test_decode_error_names_the_line_where_decoding_failed(tmp_path, capsys):
+    path = tmp_path / "pretty.json"
+    path.write_text(
+        '{\n  "roots": [[1, 0], [-1, 0]],\n  "method": plain,\n  "initial": [[2, 0], [-2, 0]]\n}\n'
+    )
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:3: invalid JSON: Expecting value: line 3 column 13 ")
+
+
+def test_decode_error_in_a_later_line_keeps_its_line_number(tmp_path, capsys):
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps(WALKTHROUGH) + "\n" + '{"p": inf}\n')
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:2: invalid JSON: Expecting value: line 2 column 7 ")
+
+
 @pytest.mark.parametrize(
     "doc",
     [
