@@ -101,6 +101,9 @@ class IterationTrace:
     """Full run record.
 
     steps counts the updates between z0 and `final`, rounded-away ones too.
+    stop_reason names the rule that ended the run: "tol_e" (`final` is the
+    last recorded iterate), "tol_step" (`final` is one update past it),
+    "max_iter" or "aborted"; converged means one of the first two.
     apriori_curve[i] is the initial-data error bound for iterate i+1; it is
     empty when the initial certificate fails or any step was damped. `error`
     carries the diagnostic when the run aborted mid-way (coincident
@@ -112,6 +115,7 @@ class IterationTrace:
     final: PointVector
     steps: int
     converged: bool
+    stop_reason: str
     certificate: Certificate
     apriori_curve: tuple[float, ...]
     error: str | None = None
@@ -160,21 +164,22 @@ def run_sor(poly: Polynomial, z0: Sequence[complex], opts: SolverOptions | None 
                 h=h,
             )
         )
-        converged, final, steps = False, z, k
+        final, steps = z, k
         if data.e <= opts.tol_e:
-            converged = True
+            stop_reason = "tol_e"
             break
         z = tuple(zi - h * wi for zi, wi in zip(z, data.w))
         if opts.tol_step > 0.0 and step_norm <= opts.tol_step:
-            converged, final, steps = True, z, k + 1
+            final, steps, stop_reason = z, k + 1, "tol_step"
             break
         if k == opts.max_iter:
+            stop_reason = "max_iter"
             break
         try:
             data = certificate_quantity(poly, z, opts.p)
             h = damping(opts.h, data)
         except (DistinctCoordinatesViolated, NonFiniteValue, OverflowError) as exc:
-            run_error = f"aborted at k = {k + 1}: {exc}"
+            run_error, stop_reason = f"aborted at k = {k + 1}: {exc}", "aborted"
             break
         cert_k = certificate_from_quantity(data.e, poly.degree, opts.p)
 
@@ -186,7 +191,8 @@ def run_sor(poly: Polynomial, z0: Sequence[complex], opts: SolverOptions | None 
         records=tuple(records),
         final=final,
         steps=steps,
-        converged=converged,
+        converged=stop_reason in ("tol_e", "tol_step"),
+        stop_reason=stop_reason,
         certificate=cert0,
         apriori_curve=curve,
         error=run_error,

@@ -180,6 +180,13 @@ def test_problems_use_every_mode_and_reach_every_stop():
     assert stops == {"tol_e", "tol_step", "max_iter", "aborted"}
 
 
+def test_stop_reason_agrees_with_the_trace_rule():
+    for line in PROBLEMS.read_text().splitlines():
+        problem = parse_problem(json.loads(line))
+        trace = run_sor(problem.poly, problem.z0, problem.options)
+        assert trace.stop_reason == _stop_branch(trace)
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     PROBLEMS.write_text("".join(json.dumps(doc) + "\n" for doc in build_problems()))

@@ -209,6 +209,31 @@ def test_step_norm_stopping_rule():
     assert trace.steps == 1
 
 
+@pytest.mark.parametrize(
+    "poly, z0, opts, reason",
+    [
+        (SQUARE, (2, -2), SolverOptions(), "tol_e"),
+        (SQUARE, (2, -2), SolverOptions(tol_step=10.0, tol_e=0.0), "tol_step"),
+        (SQUARE, (100, -100), SolverOptions(max_iter=3), "max_iter"),
+        (Polynomial.from_coefficients([-2, 0]), (2, 1), SolverOptions(), "aborted"),
+    ],
+)
+def test_stop_reason_names_the_rule_that_ended_the_run(poly, z0, opts, reason):
+    trace = run_sor(poly, z0, opts)
+    assert trace.stop_reason == reason
+    assert trace.converged == (reason in ("tol_e", "tol_step"))
+
+
+def test_stop_reason_tells_a_step_that_rounds_to_nothing_from_a_tol_e_stop():
+    # With h = 1e-20 the one update leaves every coordinate unchanged, so
+    # `final` equals the last recorded iterate, as after a tol_e stop.
+    opts = SolverOptions(mode="sor_fixed", h=1e-20, tol_step=1.0, tol_e=0.0)
+    trace = run_sor(SQUARE, (2, -2), opts)
+    assert trace.final == trace.records[-1].z
+    assert trace.stop_reason == "tol_step"
+    assert trace.steps == 1
+
+
 def test_unsatisfied_certificate_leaves_bound_empty():
     trace = run_weierstrass(SQUARE, (10, 9.9), SolverOptions(max_iter=2))
     first = trace.records[0]

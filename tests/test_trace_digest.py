@@ -5,9 +5,9 @@ The cases are seeded `run_sor` runs (n from 2 to 20, every mode, p in
 {1, 2, 3.5, inf} and a spread of caps, tolerances and fixed h), runs on
 z^100 - c from exact coefficients, n = 8 `match_roots` results and the
 `radius_table` rows at n = 2..100 for p in {1, 1.5, 2, 3, inf}. A run case
-hashes every record field, `final`, `steps`, `converged`, `error`,
-`apriori_curve` and the certificate. No case holds a NaN input or a step
-whose damping is 0.
+hashes every record field, `final`, `steps`, `converged`, `stop_reason`,
+`error`, `apriori_curve` and the certificate. No case holds a NaN input or a
+step whose damping is 0.
 
 The digests are a behaviour lock for refactors and speed-ups that must not
 change a single bit of a result. After a deliberate change, rebuild them
