@@ -101,9 +101,8 @@ class IterationTrace:
     """Full run record.
 
     steps counts the updates between z0 and `final`, rounded-away ones too.
-    stop_reason names the rule that ended the run: "tol_e" (`final` is the
-    last recorded iterate), "tol_step" (`final` is one update past it),
-    "max_iter" or "aborted"; converged means one of the first two.
+    stop_reason is "tol_e" (`final` is the last record), "tol_step" (`final`
+    is one update past it), "max_iter" or "aborted"; only the first two converge.
     apriori_curve[i] is the initial-data error bound for iterate i+1; it is
     empty when the initial certificate fails or any step was damped. `error`
     carries the diagnostic when the run aborted mid-way (coincident
