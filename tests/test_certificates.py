@@ -1,9 +1,11 @@
+import functools
 import math
 import random
 
 import pytest
 
 from conftest import random_distinct_points, random_unit_disk
+from weierstrass.certificates import _CATALOG
 from weierstrass import (
     Certificate,
     CertificateNotSatisfied,
@@ -334,6 +336,66 @@ def test_wang_zhao_l1_constants():
     assert all(v <= 0.3 for v in values)
     with pytest.raises(DomainViolation):
         c_wangzhao_l1(3)
+
+
+# A frozen copy of the sum-norm constant as it was computed before the slope
+# bisection: a 300-point scan of (0, 3] brackets the minimum of the objective,
+# and a golden-section search narrows that bracket to width 1e-12.
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _reference_golden_section(f, lo, hi, tol=1e-12):
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    return f(0.5 * (lo + hi))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_c_wangzhao_l1(n):
+    def objective(x):
+        total = 0.0
+        factorial = 1.0
+        power = x
+        for j in range(1, n):
+            factorial *= j
+            power *= x
+            total += (n - j) / (factorial * n) * power
+        return total - x
+
+    xs = [0.01 * i for i in range(1, 301)]
+    best = min(range(len(xs)), key=lambda i: objective(xs[i]))
+    lo = xs[best] - 0.01 if best > 0 else 1e-12
+    hi = xs[best] + 0.01 if best < len(xs) - 1 else 3.0
+    return -_reference_golden_section(objective, lo, hi)
+
+
+def test_wang_zhao_l1_is_within_four_ulps_of_the_frozen_reference():
+    for n in range(4, 101):
+        reference = reference_c_wangzhao_l1(n)
+        assert abs(c_wangzhao_l1(n) - reference) <= 4 * math.ulp(reference), n
+
+
+def test_wang_zhao_l1_keeps_its_row_in_every_sum_norm_table():
+    # The frozen constant, sorted among the other rows in catalog order as
+    # radius_table sorts them, must give the same row order.
+    catalog = [row[0] for row in _CATALOG]
+    for n in range(4, 101):
+        entries, _ = radius_table(n, 1)
+        values = {e.name: e.value for e in entries}
+        values["wang-zhao-l1"] = reference_c_wangzhao_l1(n)
+        expected = sorted(sorted(values, key=catalog.index), key=lambda name: -values[name])
+        assert [e.name for e in entries] == expected, n
 
 
 def test_memoized_wang_zhao_constants_equal_a_fresh_computation():
