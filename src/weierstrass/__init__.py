@@ -49,7 +49,7 @@ from .errors import (
     WeierstrassError,
     ZeroLeadingCoefficient,
 )
-from .numerics import bisect, match_roots, minimize_1d
+from .numerics import bisect, match_roots
 from .operator import (
     NormIndex,
     OperatorData,
@@ -114,7 +114,6 @@ __all__ = [
     "lambda_zheng",
     "majorant",
     "match_roots",
-    "minimize_1d",
     "p_norm",
     "radius_exp_majorant",
     "radius_han",

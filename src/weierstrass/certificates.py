@@ -23,7 +23,7 @@ from .errors import (
     DegenerateDenominator,
     DomainViolation,
 )
-from .numerics import bisect, minimize_1d
+from .numerics import bisect
 from .operator import NormIndex, NormLike, as_norm, certificate_quantity
 from .polynomial import Polynomial
 
@@ -293,10 +293,15 @@ def c_wangzhao_inf(n: int) -> float:
 def c_wangzhao_l1(n: int) -> float:
     """Wang-Zhao sum-norm constant C(n) = -min over x > 0 of f_n(x), n >= 4,
 
-    where f_n(x) = sum_{j=1}^{n-1} ((n-j)/(j! n)) x^(j+1) - x. The objective is
-    strictly convex, so a coarse scan of (0, 3] brackets the minimum for the
-    golden-section search. A pure function of n, so it is memoized: each
-    degree is searched once per process and later calls return the same float.
+    where f_n(x) = sum_{j=1}^{n-1} ((n-j)/(j! n)) x^(j+1) - x. Its slope
+    f_n'(x) = sum_{j=1}^{n-1} ((n-j)(j+1)/(j! n)) x^j - 1 has only positive
+    coefficients besides the -1, so it is strictly increasing on x > 0, from
+    -1 at 0 to a positive value at 3: its one root t in (0, 3) is the
+    minimizer, and bisection on the sign of the slope cannot miss it. As
+    f_n'(t) = 0, the 1e-12 width of the bracket moves f_n(t) only to second
+    order, far below its rounding. A pure function of n, so it is memoized:
+    each degree is solved once per process and later calls return the same
+    float.
     """
     if n < 4:
         raise DomainViolation(f"this constant is defined for n >= 4, got {n}")
@@ -311,12 +316,17 @@ def c_wangzhao_l1(n: int) -> float:
             total += (n - j) / (factorial * n) * power
         return total - x
 
-    xs = [0.01 * i for i in range(1, 301)]
-    best = min(range(len(xs)), key=lambda i: objective(xs[i]))
-    lo = xs[best] - 0.01 if best > 0 else 1e-12
-    hi = xs[best] + 0.01 if best < len(xs) - 1 else 3.0
-    _, fmin = minimize_1d(objective, lo, hi)
-    return -fmin
+    def slope(x: float) -> float:
+        total = 0.0
+        factorial = 1.0
+        power = 1.0
+        for j in range(1, n):
+            factorial *= j
+            power *= x
+            total += (n - j) * (j + 1) / (factorial * n) * power
+        return total - 1.0
+
+    return -objective(bisect(slope, 0.0, 3.0))
 
 
 def radius_zhaowang_l1(n: int) -> float:

@@ -1,4 +1,4 @@
-"""Scalar bisection, golden-section minimization, and the root-matching oracle."""
+"""Scalar bisection and the root-matching oracle."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from typing import Callable, Sequence
 from .errors import ConvergenceFailure, NoSignChange
 from .operator import _MIN_NORMAL, NormIndex, NormLike, _moduli, as_norm, p_norm
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: Steps bisect and minimize_1d take before giving up on reaching width tol.
+#: Steps bisect takes before giving up on reaching width tol.
 _STEP_CAP = 200
 
 
@@ -37,32 +36,6 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
         if hi - lo <= tol:
             return 0.5 * (lo + hi)
     raise ConvergenceFailure(f"bisection did not reach width {tol} in {_STEP_CAP} iterations")
-
-
-def minimize_1d(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
-) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [lo, hi]; returns (argmin, min)."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(_STEP_CAP):
-        if hi - lo <= tol:
-            x = 0.5 * (lo + hi)
-            return x, f(x)
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    raise ConvergenceFailure(
-        f"golden section did not reach width {tol} in {_STEP_CAP} iterations"
-    )
 
 
 def match_roots(

@@ -10,7 +10,6 @@ from weierstrass import (
     NoSignChange,
     bisect,
     match_roots,
-    minimize_1d,
     p_norm,
 )
 
@@ -52,11 +51,9 @@ def test_bisect_raises_when_the_width_is_out_of_reach():
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
-def test_bisect_and_minimize_need_lo_below_hi(lo, hi):
+def test_bisect_needs_lo_below_hi(lo, hi):
     with pytest.raises(ValueError, match=r"need lo < hi"):
         bisect(lambda x: x - 1.5, lo, hi)
-    with pytest.raises(ValueError, match=r"need lo < hi"):
-        minimize_1d(lambda x: (x - 1.5) ** 2, lo, hi)
 
 
 def test_bisect_returns_an_endpoint_where_f_is_zero():
@@ -69,38 +66,6 @@ def test_bisect_returns_an_endpoint_where_f_is_zero():
     assert bisect(f, 1.0, 3.0) == 1.0
     assert bisect(f, -3.0, -1.0) == -1.0
     assert calls == [1.0, 3.0, -3.0, -1.0]
-
-
-def test_minimize_parabola():
-    x, fx = minimize_1d(lambda x: (x - 1.0) ** 2, 0.0, 3.0, tol=1e-10)
-    assert x == pytest.approx(1.0, abs=1e-8)
-    assert fx == pytest.approx(0.0, abs=1e-10)
-
-
-def test_minimize_degree_two_damping_objective():
-    # x(1+x) - 2x = x^2 - x has minimum -1/4 at 1/2.
-    x, fx = minimize_1d(lambda x: x * (1 + x) - 2 * x, 0.0, 1.0, tol=1e-12)
-    assert x == pytest.approx(0.5, abs=1e-8)
-    assert fx == pytest.approx(-0.25, abs=1e-12)
-
-
-def test_minimize_degree_four_sum_norm_objective():
-    f = lambda x: 0.75 * x ** 2 + 0.25 * x ** 3 + x ** 4 / 24.0 - x
-    x, fx = minimize_1d(f, 1e-6, 3.0, tol=1e-12)
-    assert fx == pytest.approx(-0.279, abs=1e-3)
-
-
-def test_minimize_raises_when_the_width_is_out_of_reach():
-    with pytest.raises(ConvergenceFailure, match="in 200 iterations"):
-        minimize_1d(lambda x: (x - 1.0) ** 2, 0.0, 3.0, tol=0.0)
-
-
-def test_minimum_is_interior_local_minimum():
-    tol = 1e-12
-    f = lambda x: math.cos(x)
-    x, fx = minimize_1d(f, 2.0, 4.0, tol=tol)
-    assert f(x - 10 * tol) >= fx - 1e-12
-    assert f(x + 10 * tol) >= fx - 1e-12
 
 
 def test_match_roots_swaps():
