@@ -267,6 +267,7 @@ def solve_report(problem: Problem) -> tuple[dict, int]:
         "result": {
             "converged": trace.converged,
             "iterations": trace.steps,
+            "stop_reason": trace.stop_reason,
             "roots": [_pair(z) for z in trace.final],
         },
     }
@@ -338,6 +339,7 @@ def compare_sor_report(problem: Problem) -> tuple[dict, int]:
         label: {
             "converged": trace.converged,
             "iterations": trace.steps,
+            "stop_reason": trace.stop_reason,
             "h": [r.h for r in trace.records],
         }
         for label, trace in runs.items()
@@ -394,9 +396,10 @@ def _solve_text(report: dict) -> str:
     lines.append("roots:")
     for re_part, im_part in report["result"]["roots"]:
         lines.append(f"  {re_part!r} {'+' if im_part >= 0 else '-'} {abs(im_part)!r}j")
+    result = report["result"]
     lines.append(
-        f"converged: {'yes' if report['result']['converged'] else 'no'} "
-        f"({report['result']['iterations']} steps)"
+        f"converged: {'yes' if result['converged'] else 'no'} "
+        f"({result['iterations']} steps, {result['stop_reason']})"
     )
     return "\n".join(lines)
 

@@ -19,11 +19,12 @@ import contextlib
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from weierstrass.cli import main, parse_problem
+from weierstrass.cli import compare_sor_report, main, parse_problem, solve_report
 from weierstrass.solver import _DAMPING, run_sor
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -185,6 +186,17 @@ def test_stop_reason_agrees_with_the_trace_rule():
         problem = parse_problem(json.loads(line))
         trace = run_sor(problem.poly, problem.z0, problem.options)
         assert trace.stop_reason == _stop_branch(trace)
+
+
+def test_reports_carry_the_trace_stop_reason():
+    for line in PROBLEMS.read_text().splitlines():
+        problem = parse_problem(json.loads(line))
+        trace = run_sor(problem.poly, problem.z0, problem.options)
+        assert solve_report(problem)[0]["result"]["stop_reason"] == trace.stop_reason
+        compared = compare_sor_report(problem)[0]["result"]
+        for label, mode in (("wz", "sor_wz"), ("new", "sor_new")):
+            run = run_sor(problem.poly, problem.z0, replace(problem.options, mode=mode))
+            assert compared[label]["stop_reason"] == run.stop_reason
 
 
 def regenerate() -> None:
