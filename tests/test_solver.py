@@ -277,3 +277,24 @@ def test_bounds_dominate_true_error_on_corpus_sample(corpus):
             bound = records[k].apost_bound
             assert bound is not None
             assert inst.errors[k + 1] <= bound + 1e-9
+
+
+def test_every_reported_bound_holds_on_converged_corpus_runs(corpus):
+    # The promise itself, with no absolute slack: apriori_curve[k - 1] bounds
+    # iterate k, and record k's apost_bound bounds iterate k + 1.
+    checks, failures = 0, []
+    for i, inst in enumerate(corpus.instances):
+        if not inst.trace.converged:
+            continue
+        bounds = list(enumerate(inst.trace.apriori_curve, start=1))
+        bounds += [
+            (rec.k + 1, rec.apost_bound)
+            for rec in inst.trace.records[:-1]
+            if rec.apost_bound is not None
+        ]
+        for k, bound in bounds:
+            checks += 1
+            if not inst.errors[k] <= bound * (1 + 1e-12):
+                failures.append((i, k, inst.errors[k] / bound))
+    worst = max(failures, key=lambda f: f[2], default=None)
+    assert not failures, f"{len(failures)} of {checks} bounds below the error, worst {worst}"
