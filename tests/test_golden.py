@@ -159,7 +159,16 @@ def test_report_is_byte_identical(name, argv):
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     code, out = run_command(full_argv(argv))
     assert code == expected_codes[name]
-    assert out == (GOLDEN / f"{name}.out").read_text()
+    # Line by line, byte for byte, through pytest.fail: pytest's own diff of
+    # two whole reports takes close to a minute to render. Line i of a JSON
+    # report is document i.
+    lines = out.split("\n")
+    golden = (GOLDEN / f"{name}.out").read_text().split("\n")
+    if len(lines) != len(golden):
+        pytest.fail(f"{len(lines)} lines, the golden report has {len(golden)}")
+    for i, (line, expected) in enumerate(zip(lines, golden)):
+        if line != expected:
+            pytest.fail(f"line {i} differs\n  got:      {line}\n  expected: {expected}")
 
 
 def _stop_branch(trace) -> str:
