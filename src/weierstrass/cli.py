@@ -121,14 +121,12 @@ def parse_problem(doc: Any) -> Problem:
         raise ParseError(f'"{field}" must be a list of at least 2 entries')
     values = tuple(_as_complex(v, f"{field}[{i}]") for i, v in enumerate(raw))
 
-    roots: tuple[complex, ...] | None = None
     if has_coeffs:
         leading = _as_complex(doc.get("leading", 1), "leading")
         poly = Polynomial.from_coefficients(values, leading)
     else:
-        roots = values
-        poly = Polynomial.from_roots(roots)
-    poly_echo = {field: [_pair(c) for c in (poly.coeffs if roots is None else roots)]}
+        poly = Polynomial.from_roots(values)
+    poly_echo = {field: [_pair(c) for c in poly.coeffs or poly.roots]}
 
     n = poly.degree
     if "initial" not in doc:
@@ -137,14 +135,14 @@ def parse_problem(doc: Any) -> Problem:
     if isinstance(raw_initial, dict):
         if set(raw_initial) != {"perturb_roots"}:
             raise ParseError('"initial" object form must be {"perturb_roots": eps}')
-        if roots is None:
+        if not poly.roots:
             raise ParseError('"perturb_roots" needs the polynomial given by its roots')
         eps = raw_initial["perturb_roots"]
         if type(eps) not in _NUMBER or eps <= 0:
             raise ParseError(f'"perturb_roots" must be a positive number, got {eps!r}')
         # Deterministic unit directions at angles 2*pi*i/n, no RNG involved.
         z0 = tuple(
-            r + eps * cmath.exp(2j * cmath.pi * i / n) for i, r in enumerate(roots)
+            r + eps * cmath.exp(2j * cmath.pi * i / n) for i, r in enumerate(poly.roots)
         )
     elif isinstance(raw_initial, list):
         if len(raw_initial) != n:

@@ -1,4 +1,4 @@
-"""Monic complex polynomials: normalization, root-product construction, Horner evaluation."""
+"""Monic complex polynomials, held as coefficients or as roots, and their evaluation."""
 
 from __future__ import annotations
 
@@ -14,23 +14,27 @@ DEFAULT_MAX_DEGREE = 100
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Monic polynomial z^n + c[n-1] z^(n-1) + ... + c[1] z + c[0].
+    """Monic polynomial of degree n, held as its coefficients or as its roots.
 
-    Only the n non-leading coefficients are stored, in ascending power order;
-    the leading coefficient is implicitly 1.
+    `coeffs` holds c[0] .. c[n-1] of z^n + c[n-1] z^(n-1) + ... + c[0] (the
+    leading 1 is implicit); `roots` holds r_1 .. r_n of prod_i (z - r_i).
+    Exactly one of the two is non-empty; neither is derived from the other.
     """
 
-    coeffs: tuple[complex, ...]
+    coeffs: tuple[complex, ...] = ()
+    roots: tuple[complex, ...] = ()
 
     def __post_init__(self) -> None:
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        if len(coeffs) < 2:
-            raise DegreeTooSmall(f"degree must be at least 2, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
+        if self.coeffs and self.roots:
+            raise ValueError("a polynomial holds coefficients or roots, not both")
+        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "roots", tuple(complex(r) for r in self.roots))
+        if self.degree < 2:
+            raise DegreeTooSmall(f"degree must be at least 2, got {self.degree}")
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs)
+        return len(self.coeffs or self.roots)
 
     @classmethod
     def from_coefficients(
@@ -57,12 +61,12 @@ class Polynomial:
         roots: Sequence[complex],
         max_degree: int = DEFAULT_MAX_DEGREE,
     ) -> "Polynomial":
-        """Expand prod_i (z - r_i) for pairwise-distinct roots.
+        """Hold prod_i (z - r_i) as its pairwise-distinct roots, unexpanded.
 
-        Used throughout the tests as the ground-truth construction: the root
-        vector is known exactly, by design.
+        `coeffs` stays empty. Used throughout the tests as the ground-truth
+        construction: the root vector is known exactly, by design.
         """
-        pts = [complex(r) for r in roots]
+        pts = tuple(complex(r) for r in roots)
         if len(pts) > max_degree:
             raise DegreeTooLarge(f"degree {len(pts)} exceeds cap {max_degree}")
         # Equal complexes hash equally (0.0 and -0.0 included), so the set
@@ -72,20 +76,15 @@ class Polynomial:
                 for j in range(i + 1, len(pts)):
                     if pts[i] == pts[j]:
                         raise DuplicateRoots(f"roots {i} and {j} are both {pts[i]}")
-        # Iterated multiplication by (z - r); `full` holds the complete ascending
-        # coefficient list including the leading 1.
-        full = [1 + 0j]
-        for r in pts:
-            nxt = [0j] * (len(full) + 1)
-            for i, c in enumerate(full):
-                nxt[i + 1] += c
-                nxt[i] -= r * c
-            full = nxt
-        return cls(tuple(full[:-1]))
+        return cls(roots=pts)
 
     def evaluate(self, x: complex) -> complex:
-        """Horner evaluation in complex double precision."""
+        """prod_i (x - r_i) if roots are held (relative error O(n u)), else Horner."""
         acc = 1 + 0j
+        if self.roots:
+            for r in self.roots:
+                acc *= x - r
+            return acc
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc

@@ -176,6 +176,7 @@ def _outcome(parse, doc):
     return (
         _hex_parts(problem.z0),
         _hex_parts(problem.poly.coeffs),
+        _hex_parts(problem.poly.roots),
         repr(problem.echo),
         repr(problem.options),
     )

@@ -33,16 +33,39 @@ def test_from_coefficients_rejects_zero_leading():
 
 
 def test_from_roots_difference_of_squares():
-    assert Polynomial.from_roots([1, -1]).coeffs == (-1 + 0j, 0j)
+    poly = Polynomial.from_roots([1, -1])
+    assert poly.roots == (1 + 0j, -1 + 0j)
+    assert poly.coeffs == ()
+    assert poly.degree == 2
+    assert poly.evaluate(3) == 8  # (3 - 1)(3 + 1)
+    assert poly.evaluate(0) == -1
 
 
 def test_from_roots_cubic():
-    assert Polynomial.from_roots([0, 1, -1]).coeffs == (0j, -1 + 0j, 0j)
+    poly = Polynomial.from_roots([0, 1, -1])
+    assert poly.roots == (0j, 1 + 0j, -1 + 0j)
+    assert poly.coeffs == ()
+    assert poly.evaluate(2) == 6  # 2 * 1 * 3
+    assert poly.evaluate(-3) == -24  # -3 * -4 * -2
 
 
 def test_from_roots_hand_expansion():
     # (z - 1)(z - 2) = z^2 - 3z + 2
-    assert Polynomial.from_roots([1, 2]).coeffs == (2 + 0j, -3 + 0j)
+    poly = Polynomial.from_roots([1, 2])
+    assert poly.roots == (1 + 0j, 2 + 0j)
+    assert poly.coeffs == ()
+    for x in range(-3, 5):
+        assert poly.evaluate(x) == x * x - 3 * x + 2
+
+
+def test_constructor_takes_coefficients_or_roots_not_both():
+    with pytest.raises(ValueError, match="^a polynomial holds coefficients or roots, not both$"):
+        Polynomial(coeffs=(1, 2), roots=(3, 4))
+
+
+def test_constructor_rejects_a_single_root():
+    with pytest.raises(DegreeTooSmall, match=r"^degree must be at least 2, got 1$"):
+        Polynomial(roots=(1,))
 
 
 def test_from_roots_rejects_duplicates():
@@ -109,13 +132,19 @@ def test_evaluate_matches_power_sum():
 
 
 def test_from_roots_permutation_invariant():
+    # Each product takes n subtractions (relative error u) and n complex
+    # products (sqrt(2) * 2u, Higham 2002, Lemma 3.5), so two orders of the
+    # same roots agree to first order within 2 * (1 + 2 * sqrt(2)) * n * u < 8nu.
     rng = random.Random(3)
+    u = 2.0 ** -53
     for _ in range(25):
         n = rng.randint(2, 12)
         roots = list(random_distinct_points(rng, n))
-        reference = Polynomial.from_roots(roots).coeffs
         shuffled = roots[:]
         rng.shuffle(shuffled)
-        other = Polynomial.from_roots(shuffled).coeffs
-        for lhs, rhs in zip(reference, other):
-            assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
+        reference = Polynomial.from_roots(roots)
+        other = Polynomial.from_roots(shuffled)
+        for _ in range(8):
+            x = random_unit_disk(rng, radius=2.0)
+            lhs, rhs = reference.evaluate(x), other.evaluate(x)
+            assert abs(lhs - rhs) <= 8 * n * u * abs(lhs)

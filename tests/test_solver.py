@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
 import weierstrass.solver as solver
+from conftest import build_certified_instance
 from weierstrass import (
     DistinctCoordinatesViolated,
     NonFiniteValue,
@@ -259,7 +261,7 @@ def test_mode_override_in_plain_runner():
 
 def test_trace_identity_along_corpus_runs(corpus):
     for inst in corpus.instances[:40]:
-        target = -inst.poly.coeffs[-1]
+        target = sum(inst.roots)
         for rec in inst.trace.records:
             w = weierstrass_correction(inst.poly, rec.z)
             lhs = sum(zi - wi for zi, wi in zip(rec.z, w))
@@ -298,3 +300,17 @@ def test_every_reported_bound_holds_on_converged_corpus_runs(corpus):
                 failures.append((i, k, inst.errors[k] / bound))
     worst = max(failures, key=lambda f: f[2], default=None)
     assert not failures, f"{len(failures)} of {checks} bounds below the error, worst {worst}"
+
+
+def test_large_degree_root_given_runs_reach_the_given_roots():
+    # Degrees past the corpus's 20, built like it: two certified instances
+    # per (n, p) cell, run with the default tol_e = 1e-13.
+    rng = random.Random(20261020)
+    for n in (40, 60, 100):
+        for p in (1.0, 2.0, math.inf):
+            for _ in range(2):
+                poly, roots, z0, _, _ = build_certified_instance(rng, n, p)
+                trace = run_weierstrass(poly, z0, SolverOptions(p=NormIndex(p)))
+                assert trace.stop_reason == "tol_e", (n, p, trace.steps)
+                error = max(abs(z - r) for z, r in zip(trace.final, roots))
+                assert error <= 1e-12, (n, p, error)
