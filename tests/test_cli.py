@@ -148,6 +148,16 @@ def test_decode_error_in_a_later_line_keeps_its_line_number(tmp_path, capsys):
     assert err.startswith(f"error: {path}:2: invalid JSON: Expecting value: line 2 column 7 ")
 
 
+def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
+    # The C decoder raises RecursionError at about 1,000 levels of nesting.
+    doc = dict(WALKTHROUGH, roots="@")
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace('"@"', "[" * 2000 + "]" * 2000) + "\n")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "doc",
     [
