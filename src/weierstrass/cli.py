@@ -200,6 +200,9 @@ def load_documents(path: str) -> list[Any]:
             doc, end = _DECODER.raw_decode(text, pos)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc}")
+        except RecursionError:
+            line = text.count("\n", 0, pos) + 1
+            raise ParseError(f"{path}:{line}: invalid JSON: nested too deeply")
         docs.append(doc)
     if not docs:
         raise ParseError(f"{path}: no JSON documents found")

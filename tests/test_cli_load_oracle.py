@@ -188,3 +188,14 @@ def test_one_array_among_non_json_whitespace_is_a_batch(tmp_path):
     path = _write(tmp_path, json.dumps(DOCS) + "\n\f\n")
     assert reference_load_documents(path) == [DOCS]
     assert load_documents(path) == DOCS
+
+
+def test_nesting_too_deep_for_the_decoder_is_a_parse_error(tmp_path):
+    # The C decoder raises RecursionError at about 1,000 levels. The reference
+    # let it escape; the loader names the line where the document starts.
+    path = _write(tmp_path, json.dumps(DOCS[0]) + "\n\n" + "[" * 2000 + "]" * 2000 + "\n")
+    with pytest.raises(RecursionError):
+        reference_load_documents(path)
+    with pytest.raises(ParseError) as actual:
+        load_documents(path)
+    assert str(actual.value) == f"{path}:3: invalid JSON: nested too deeply"
