@@ -90,13 +90,32 @@ def test_from_roots_names_the_first_duplicate_pair_in_index_order():
     Polynomial.from_roots([nan, nan, 1])
 
 
-def test_degree_cap_is_configurable():
-    roots = [complex(i, (i % 7) / 7) for i in range(101)]
-    with pytest.raises(DegreeTooLarge):
-        Polynomial.from_roots(roots)
-    assert Polynomial.from_roots(roots, max_degree=101).degree == 101
-    with pytest.raises(DegreeTooLarge):
-        Polynomial.from_coefficients([0] * 101)
+_ROOTS_101 = tuple(complex(i, (i % 7) / 7) for i in range(101))
+
+
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        ({"roots": (1, 1)}, DuplicateRoots, r"^roots 0 and 1 are both \(1\+0j\)$"),
+        ({"coeffs": (0,) * 101}, DegreeTooLarge, r"^degree 101 exceeds cap 100$"),
+        ({"roots": _ROOTS_101}, DegreeTooLarge, r"^degree 101 exceeds cap 100$"),
+    ],
+    ids=["repeated-root", "101-coefficients", "101-roots"],
+)
+def test_direct_construction_checks_like_the_classmethods(fields, error, message):
+    with pytest.raises(error, match=message):
+        Polynomial(**fields)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [Polynomial.from_roots, Polynomial.from_coefficients, lambda values: Polynomial(roots=values)],
+    ids=["from_roots", "from_coefficients", "constructor"],
+)
+def test_degree_cap_holds_on_every_construction_path(build):
+    assert build(_ROOTS_101[:100]).degree == 100
+    with pytest.raises(DegreeTooLarge, match=r"^degree 101 exceeds cap 100$"):
+        build(_ROOTS_101)
 
 
 def test_evaluate_examples():
