@@ -14,7 +14,7 @@ class DegreeTooSmall(WeierstrassError):
 
 
 class DegreeTooLarge(WeierstrassError):
-    """Degree exceeds the overflow-safety cap (configurable at construction)."""
+    """Degree exceeds the overflow-safety cap, `DEFAULT_MAX_DEGREE`."""
 
 
 class DuplicateRoots(WeierstrassError):
