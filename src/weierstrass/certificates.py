@@ -88,20 +88,16 @@ def majorant(x: float, n: int, p: NormLike) -> float:
 
 
 @lru_cache(maxsize=None)
-def _radius_cached(n: int, p_value: float) -> float:
-    norm, _, b = _norm_factors(n, p_value)
-    hi = (1.0 / b) * (1.0 - 1e-12)
-    return bisect(lambda x: majorant(x, n, norm) - 1.0, 0.0, hi)
-
-
 def convergence_radius(n: int, p: NormLike) -> float:
     """Largest certifiable E(z0): the unique root of majorant(x) = 1.
 
     Found by bisection (the majorant rises monotonically from 0 to +inf on
-    its domain), to absolute tolerance 1e-12.
+    its domain), to absolute tolerance 1e-12. A pure function of (n, p), so
+    it is memoized: equal norms share one entry.
     """
-    _check_degree(n)
-    return _radius_cached(n, as_norm(p).p)
+    norm, _, b = _norm_factors(n, p)
+    hi = (1.0 / b) * (1.0 - 1e-12)
+    return bisect(lambda x: majorant(x, n, norm) - 1.0, 0.0, hi)
 
 
 def certificate_from_quantity(e: float, n: int, p: NormLike) -> Certificate:
@@ -306,27 +302,19 @@ def c_wangzhao_l1(n: int) -> float:
     if n < 4:
         raise DomainViolation(f"this constant is defined for n >= 4, got {n}")
 
-    def objective(x: float) -> float:
-        total = 0.0
-        factorial = 1.0
-        power = x
-        for j in range(1, n):
-            factorial *= j
-            power *= x
-            total += (n - j) / (factorial * n) * power
-        return total - x
-
-    def slope(x: float) -> float:
-        total = 0.0
+    def series(x: float) -> tuple[float, float]:
+        """(f_n(x), f_n'(x)), with x^(j+1) formed as x^j x."""
+        value = slope = 0.0
         factorial = 1.0
         power = 1.0
         for j in range(1, n):
             factorial *= j
             power *= x
-            total += (n - j) * (j + 1) / (factorial * n) * power
-        return total - 1.0
+            value += (n - j) / (factorial * n) * (power * x)
+            slope += (n - j) * (j + 1) / (factorial * n) * power
+        return value - x, slope - 1.0
 
-    return -objective(bisect(slope, 0.0, 3.0))
+    return -series(bisect(lambda x: series(x)[1], 0.0, 3.0))[0]
 
 
 def radius_zhaowang_l1(n: int) -> float:

@@ -258,6 +258,14 @@ def _trace_block(trace) -> dict:
     }
 
 
+def _run_result(trace) -> dict:
+    return {
+        "converged": trace.converged,
+        "iterations": trace.steps,
+        "stop_reason": trace.stop_reason,
+    }
+
+
 def solve_report(problem: Problem) -> tuple[dict, int]:
     trace = run_sor(problem.poly, problem.z0, problem.options)
     n, p = problem.poly.degree, problem.options.p
@@ -265,12 +273,7 @@ def solve_report(problem: Problem) -> tuple[dict, int]:
         "input": problem.echo,
         "certificate": _certificate_block(trace.certificate, n, p),
         "trace": _trace_block(trace),
-        "result": {
-            "converged": trace.converged,
-            "iterations": trace.steps,
-            "stop_reason": trace.stop_reason,
-            "roots": [_pair(z) for z in trace.final],
-        },
+        "result": dict(_run_result(trace), roots=[_pair(z) for z in trace.final]),
     }
     return report, EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
@@ -337,12 +340,7 @@ def compare_sor_report(problem: Problem) -> tuple[dict, int]:
         for label, mode in (("wz", "sor_wz"), ("new", "sor_new"))
     }
     result: dict = {
-        label: {
-            "converged": trace.converged,
-            "iterations": trace.steps,
-            "stop_reason": trace.stop_reason,
-            "h": [r.h for r in trace.records],
-        }
+        label: dict(_run_result(trace), h=[r.h for r in trace.records])
         for label, trace in runs.items()
     }
     result["ratios"] = [

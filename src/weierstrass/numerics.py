@@ -74,17 +74,13 @@ def match_roots(
         perms = itertools.permutations(range(n))
         if any(d != d for row in dist for d in row):
             perms = (s for s in perms if all(dist[i][j] == dist[i][j] for i, j in enumerate(s)))
-        score = _table_score(a, b, dist, norm)
-        best_perm = min(perms, key=score, default=None)
-        if best_perm is None:
-            return tuple(range(n)), math.nan
-        return best_perm, score(best_perm)
-
-    perm = _bottleneck_assignment(dist)
+        perm = min(perms, key=_table_score(a, b, dist, norm), default=None)
+    else:
+        perm = _bottleneck_assignment(dist)
+        if perm is not None and not math.isinf(norm.p):
+            perm = _min_power_sum_assignment(dist, perm, norm.p)
     if perm is None:
         return tuple(range(n)), math.nan
-    if not math.isinf(norm.p):
-        perm = _min_power_sum_assignment(dist, perm, norm.p)
     return tuple(perm), p_norm([a[i] - b[perm[i]] for i in range(n)], norm)
 
 

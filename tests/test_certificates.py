@@ -9,6 +9,7 @@ from weierstrass.certificates import _CATALOG
 from weierstrass import (
     Certificate,
     CertificateNotSatisfied,
+    DegenerateDenominator,
     DomainViolation,
     NormIndex,
     Polynomial,
@@ -210,6 +211,13 @@ def test_apriori_requires_satisfied_certificate():
         apriori_bound(1, cert, 1.0)
 
 
+def test_apriori_rejects_a_zero_denominator():
+    cert = Certificate(e0=0.1, lam=1.0, theta=1.0, satisfied=True, strict=False)
+    with pytest.raises(DegenerateDenominator) as excinfo:
+        apriori_bound(1, cert, 1.0)
+    assert str(excinfo.value) == "1 - theta lam^(2^k) = 0 is not positive"
+
+
 def test_apriori_rejects_k_zero():
     cert = Certificate(e0=0.1, lam=0.5, theta=0.8, satisfied=True, strict=True)
     with pytest.raises(DomainViolation):
@@ -398,10 +406,15 @@ def test_wang_zhao_l1_keeps_its_row_in_every_sum_norm_table():
         assert [e.name for e in entries] == expected, n
 
 
-def test_memoized_wang_zhao_constants_equal_a_fresh_computation():
+def test_memoized_constants_equal_a_fresh_computation():
     for n in range(4, 41):
         assert c_wangzhao_inf(n) == c_wangzhao_inf.__wrapped__(n)
         assert c_wangzhao_l1(n) == c_wangzhao_l1.__wrapped__(n)
+    for n in range(2, 101):
+        for p in GRID_P:
+            radius = convergence_radius(n, p)
+            assert radius == convergence_radius.__wrapped__(n, p), (n, p)
+            assert convergence_radius(n, NormIndex(p)) == radius, (n, p)
 
 
 def test_radius_table_returns_fresh_lists():
