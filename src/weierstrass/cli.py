@@ -58,12 +58,18 @@ class Problem:
     echo: dict
 
 
+def _brief(value: Any) -> str:
+    """repr(value) for an error message, cut to 57 characters and "..." past 60."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _as_complex(value: Any, where: str) -> complex:
     if type(value) in _NUMBER:
         return complex(value)
     if isinstance(value, list) and len(value) == 2 and all(type(t) in _NUMBER for t in value):
         return complex(value[0], value[1])
-    raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    raise ParseError(f"{where}: expected a number or [re, im] pair, got {_brief(value)}")
 
 
 def _reject_non_finite(value: Any, where: str) -> None:
@@ -94,7 +100,7 @@ def _parse_p(value: Any) -> float:
     if isinstance(value, str) and value.lower() == "inf":
         return math.inf
     if type(value) not in _NUMBER:
-        raise ParseError(f'p must be a number >= 1 or "inf", got {value!r}')
+        raise ParseError(f'p must be a number >= 1 or "inf", got {_brief(value)}')
     if not value >= 1:
         raise ParseError(f"p must be at least 1, got {value}")
     return float(value)
@@ -139,7 +145,7 @@ def parse_problem(doc: Any) -> Problem:
             raise ParseError('"perturb_roots" needs the polynomial given by its roots')
         eps = raw_initial["perturb_roots"]
         if type(eps) not in _NUMBER or eps <= 0:
-            raise ParseError(f'"perturb_roots" must be a positive number, got {eps!r}')
+            raise ParseError(f'"perturb_roots" must be a positive number, got {_brief(eps)}')
         # Deterministic unit directions at angles 2*pi*i/n, no RNG involved.
         z0 = tuple(
             r + eps * cmath.exp(2j * cmath.pi * i / n) for i, r in enumerate(poly.roots)
@@ -158,19 +164,21 @@ def parse_problem(doc: Any) -> Problem:
         settings["p"] = _parse_p(doc["p"])
     if "method" in doc:
         if not isinstance(doc["method"], str):
-            raise ParseError(f'"method" must be a string, got {doc["method"]!r}')
+            raise ParseError(f'"method" must be a string, got {_brief(doc["method"])}')
         settings["mode"] = doc["method"]
     for name, kind in _NUMERIC_OPTIONS.items():
         if name in doc:
             value = doc[name]
             if type(value) not in (int, kind):
                 what = "an integer" if kind is int else "a number"
-                raise ParseError(f'"{name}" must be {what}, got {value!r}')
+                raise ParseError(f'"{name}" must be {what}, got {_brief(value)}')
             settings[name] = kind(value)
     try:
         options = SolverOptions(**settings)
     except ValueError as exc:
         raise ParseError(str(exc))
+    if "leading" in doc and not has_coeffs:
+        raise ParseError('"leading" needs the polynomial given by its coefficients')
 
     echo = dict(
         poly_echo,
@@ -191,8 +199,8 @@ _DECODER = json.JSONDecoder()
 def load_documents(path: str) -> list[Any]:
     """Read problem documents: whitespace-separated JSON values; one array is a batch."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     docs, end = [], 0
     while (pos := _SPACE.match(text, end).end()) < len(text):
@@ -522,7 +530,7 @@ def _number(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ParseError(f'--p must be a number or "inf", got {text!r}')
+        raise ParseError(f'--p must be a number or "inf", got {_brief(text)}')
 
 
 if __name__ == "__main__":

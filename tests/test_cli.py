@@ -7,6 +7,7 @@ import pytest
 
 import weierstrass.cli as cli
 from weierstrass.cli import _emit, _encode, main, parse_problem
+from weierstrass.errors import ParseError
 from weierstrass.solver import SolverOptions, run_sor
 
 WALKTHROUGH = {
@@ -177,6 +178,66 @@ def test_invalid_documents_exit_one(tmp_path, capsys, doc):
     code, _, err = run_cli(capsys, "solve", path)
     assert code == 1
     assert err
+
+
+LONG_LIST = list(range(50_000))
+LONG_TEXT = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "fault, value, prefix",
+    [
+        (
+            {"roots": [LONG_LIST, [1, 0]]},
+            LONG_LIST,
+            "roots[0]: expected a number or [re, im] pair, got ",
+        ),
+        ({"p": LONG_TEXT}, LONG_TEXT, 'p must be a number >= 1 or "inf", got '),
+        ({"method": LONG_LIST}, LONG_LIST, '"method" must be a string, got '),
+        ({"max_iter": LONG_LIST}, LONG_LIST, '"max_iter" must be an integer, got '),
+        (
+            {"initial": {"perturb_roots": LONG_LIST}},
+            LONG_LIST,
+            '"perturb_roots" must be a positive number, got ',
+        ),
+        (None, LONG_TEXT, '--p must be a number or "inf", got '),
+    ],
+    ids=["entry", "p", "method", "numeric-option", "perturb_roots", "radii-p"],
+)
+def test_long_rejected_values_are_shortened_in_error_messages(capsys, fault, value, prefix):
+    if fault is None:
+        code, out, err = run_cli(capsys, "radii", "--n", "4", "--p", value)
+        assert (code, out) == (1, "")
+        message = err.removeprefix("error: ").removesuffix("\n")
+    else:
+        with pytest.raises(ParseError) as excinfo:
+            parse_problem(dict(WALKTHROUGH, **fault))
+        message = str(excinfo.value)
+    assert message == prefix + repr(value)[:57] + "..."
+    assert len(message) <= 150
+
+
+def test_values_up_to_sixty_characters_are_shown_whole():
+    fits, too_long = "x" * 58, "x" * 59  # reprs of 60 and 61 characters
+    with pytest.raises(ParseError, match=f"got '{fits}'$"):
+        parse_problem(dict(WALKTHROUGH, p=fits))
+    with pytest.raises(ParseError, match=f"got '{too_long[:56]}\\.\\.\\.$"):
+        parse_problem(dict(WALKTHROUGH, p=too_long))
+
+
+def test_leading_is_rejected_on_a_root_given_document(tmp_path, capsys):
+    path = write_problem(tmp_path, dict(WALKTHROUGH, leading=5))
+    code, out, err = run_cli(capsys, "solve", path)
+    assert (code, out) == (1, "")
+    assert err == 'error: "leading" needs the polynomial given by its coefficients\n'
+
+
+def test_undecodable_file_is_an_input_error_that_names_it(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps(WALKTHROUGH).encode("utf-16"))  # starts with the BOM ff fe
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff ")
 
 
 def test_certify_walkthrough(tmp_path, capsys):

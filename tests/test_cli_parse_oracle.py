@@ -3,7 +3,9 @@
 The reference below walks every value for NaN, infinities and integers beyond
 the double range, then converts each entry on its own, naming the bad field by
 its path. A faster parser must give the same doubles, the same echo and the
-same exception, message included, on valid documents and on faulty ones.
+same exception, message included, on valid documents and on faulty ones, with
+one rule of its own: a root-given document with a "leading" field, which the
+reference accepts and drops, is rejected once every other check has passed.
 """
 
 import cmath
@@ -182,8 +184,15 @@ def _outcome(parse, doc):
     )
 
 
+#: What the parser raises, after every other check, where the reference drops
+#: a "leading" field from a root-given document.
+LEADING_WITH_ROOTS = (ParseError, '"leading" needs the polynomial given by its coefficients')
+
+
 def assert_same_parse(doc):
     expected = _outcome(reference_parse_problem, doc)
+    if isinstance(expected[0], list) and "roots" in doc and "leading" in doc:
+        expected = LEADING_WITH_ROOTS
     assert _outcome(parse_problem, doc) == expected, doc
     return expected
 
