@@ -345,7 +345,8 @@ class RadiusEntry:
 
 #: (name, fixed norm of a ||W||/delta threshold or None for one on E, required
 #: p or None, least degree, value at (n, norm)), in report order. Values look
-#: their functions up by name, so a rebound module attribute reaches them.
+#: their functions up by name, so a rebound module attribute reaches a table
+#: built after it.
 _CATALOG = (
     ("exact", None, None, 2, lambda n, norm: convergence_radius(n, norm)),
     ("exp-majorant-sharp", None, None, 2, lambda n, norm: radius_exp_majorant(n, norm, True)),
@@ -364,9 +365,18 @@ _CATALOG = (
 
 def radius_table(n: int, p: NormLike) -> tuple[list[RadiusEntry], list[tuple[str, str]]]:
     """All thresholds applicable at (n, p), sorted by value descending,
-    plus (name, reason) pairs for the ones that do not apply at this p."""
+    plus (name, reason) pairs for the ones that do not apply at this p.
+
+    Each table is built once per (n, p) and returned as fresh lists."""
     _check_degree(n)
-    norm = as_norm(p)
+    entries, omitted = _radius_table(n, as_norm(p))
+    return list(entries), list(omitted)
+
+
+@lru_cache(maxsize=None)
+def _radius_table(
+    n: int, norm: NormIndex
+) -> tuple[tuple[RadiusEntry, ...], tuple[tuple[str, str], ...]]:
     entries: list[RadiusEntry] = []
     omitted: list[tuple[str, str]] = []
     for name, fixed_norm, required_p, min_degree, value_at in _CATALOG:
@@ -380,4 +390,4 @@ def radius_table(n: int, p: NormLike) -> tuple[list[RadiusEntry], list[tuple[str
         else:
             entries.append(RadiusEntry(name, value_at(n, norm), "w_over_delta", fixed_norm, None))
     entries.sort(key=lambda entry: -entry.value)
-    return entries, omitted
+    return tuple(entries), tuple(omitted)

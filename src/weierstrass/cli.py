@@ -58,10 +58,14 @@ class Problem:
     echo: dict
 
 
-def _brief(value: Any) -> str:
-    """repr(value) for an error message, cut to 57 characters and "..." past 60."""
-    text = repr(value)
+def _cut(text: str) -> str:
+    """text for an error message, cut to 57 characters and "..." past 60."""
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _brief(value: Any) -> str:
+    """repr(value) for an error message, cut as `_cut` cuts."""
+    return _cut(repr(value))
 
 
 def _as_complex(value: Any, where: str) -> complex:
@@ -72,17 +76,48 @@ def _as_complex(value: Any, where: str) -> complex:
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {_brief(value)}")
 
 
+def _as_points(raw: list, field: str) -> tuple[complex, ...]:
+    """The entries of a list field as complex numbers. A list of [re, im]
+    pairs converts in one pass; any other entry takes `_as_complex`."""
+    points = [
+        complex(*v)
+        for v in raw
+        if type(v) is list and len(v) == 2 and type(v[0]) in _NUMBER and type(v[1]) in _NUMBER
+    ]
+    if len(points) == len(raw):
+        return tuple(points)
+    return tuple(_as_complex(v, f"{field}[{i}]") for i, v in enumerate(raw))
+
+
+def _finite(value: Any) -> bool:
+    """True when `_reject_non_finite` passes value, decided without naming a
+    path. A list of numbers is tested in one pass; a list holding anything
+    else is tested entry by entry. False alarms (a float subclass holding
+    NaN, which the walk ignores) only send the document through the walk."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    try:
+        if isinstance(value, list):
+            return all(map(math.isfinite, value))
+        return type(value) not in _NUMBER or math.isfinite(value)
+    except OverflowError:
+        return False
+    except (TypeError, ValueError):
+        return all(map(_finite, value))
+
+
 def _reject_non_finite(value: Any, where: str) -> None:
     """Reject JSON's NaN and Infinity literals, and integers too large for a
-    double, which no problem field can take."""
+    double, which no problem field can take, naming the first by its path."""
     if type(value) is float and not math.isfinite(value):
-        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+        raise ParseError(f"{_cut(where)}: expected a finite number, got {value!r}")
     if type(value) is int:
         try:
             float(value)
         except OverflowError:
             raise ParseError(
-                f"{where}: expected a finite number, got an integer beyond the double range"
+                f"{_cut(where)}: expected a finite number, "
+                "got an integer beyond the double range"
             )
     if isinstance(value, list):
         for i, item in enumerate(value):
@@ -102,7 +137,7 @@ def _parse_p(value: Any) -> float:
     if type(value) not in _NUMBER:
         raise ParseError(f'p must be a number >= 1 or "inf", got {_brief(value)}')
     if not value >= 1:
-        raise ParseError(f"p must be at least 1, got {value}")
+        raise ParseError(f"p must be at least 1, got {_brief(value)}")
     return float(value)
 
 
@@ -116,8 +151,9 @@ def parse_problem(doc: Any) -> Problem:
         raise ParseError(f"problem document must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - _PROBLEM_KEYS
     if unknown:
-        raise ParseError(f"unknown keys: {sorted(unknown)}")
-    _reject_non_finite(doc, "")
+        raise ParseError(f"unknown keys: {_brief(sorted(unknown))}")
+    if not _finite(doc):
+        _reject_non_finite(doc, "")
     has_coeffs = "coefficients" in doc
     if has_coeffs == ("roots" in doc):
         raise ParseError('exactly one of "coefficients" or "roots" is required')
@@ -125,7 +161,7 @@ def parse_problem(doc: Any) -> Problem:
     raw = doc[field]
     if not isinstance(raw, list) or len(raw) < 2:
         raise ParseError(f'"{field}" must be a list of at least 2 entries')
-    values = tuple(_as_complex(v, f"{field}[{i}]") for i, v in enumerate(raw))
+    values = _as_points(raw, field)
 
     if has_coeffs:
         leading = _as_complex(doc.get("leading", 1), "leading")
@@ -153,7 +189,7 @@ def parse_problem(doc: Any) -> Problem:
     elif isinstance(raw_initial, list):
         if len(raw_initial) != n:
             raise ParseError(f'"initial" has {len(raw_initial)} entries, polynomial degree is {n}')
-        z0 = tuple(_as_complex(v, f"initial[{i}]") for i, v in enumerate(raw_initial))
+        z0 = _as_points(raw_initial, "initial")
     else:
         raise ParseError('"initial" must be a list of points or {"perturb_roots": eps}')
 

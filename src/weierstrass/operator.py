@@ -248,14 +248,65 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
     return tuple(w)
 
 
+#: Below this degree one loop over the pairs of each row, in `_one_pass`,
+#: beats the sorts of `_separated` and `distances`; from it on they win.
+#: On a 2-vCPU Xeon (min of 9 x 300 calls near the roots) one pass took
+#: 0.66-0.68 of the time of W plus `distances` at n = 8, 0.90-0.99 at
+#: n = 32, 0.99-1.05 at n = 36, 0.98-1.03 at n = 40 and 1.12-1.28 at n = 100.
+_ONE_PASS_BELOW = 36
+
+
+def _one_pass(
+    poly: Polynomial, z: Sequence[complex]
+) -> tuple[tuple[complex, ...], tuple[float, ...], float] | None:
+    """W, d and delta as `weierstrass_correction` and `distances` give them,
+    bit for bit, from one loop per row: each difference z_i - z_j, in
+    ascending j, is multiplied into den_i and its modulus taken into d_i.
+
+    Returns None wherever either of them could raise, so that the caller
+    runs them and the exception, its message and which one comes first are
+    theirs. A non-finite z_i needs no test of its own: it makes W_i
+    non-finite.
+    """
+    pts = [complex(c) for c in z]
+    if len(pts) != poly.degree:
+        return None
+    w, d = [], []
+    try:
+        for i, zi in enumerate(pts):
+            den = 1 + 0j
+            near = math.inf
+            for zj in pts[:i] + pts[i + 1 :]:
+                diff = zi - zj
+                den *= diff
+                sep = abs(diff)
+                if sep < near:
+                    near = sep
+            if near < COINCIDENCE_FLOOR or not den:
+                return None
+            wi = poly.evaluate(zi) / den
+            if not cmath.isfinite(wi):
+                return None
+            w.append(wi)
+            d.append(near)
+    except OverflowError:
+        return None
+    return tuple(w), tuple(d), min(d)
+
+
 def certificate_quantity(poly: Polynomial, z: Sequence[complex], p: NormLike) -> OperatorData:
     """Evaluate W, d, delta and E = ||W/d||_p at one point.
 
     E is always formed from the coordinate-wise ratios W_i/d_i; the looser
     ||W||_p / delta value (which it never exceeds) is left to the caller.
+    Below degree _ONE_PASS_BELOW, W, d and delta come from `_one_pass`.
     """
     norm = as_norm(p)
-    w = weierstrass_correction(poly, z)
-    d, delta = distances(z)
+    one_pass = _one_pass(poly, z) if len(z) < _ONE_PASS_BELOW else None
+    if one_pass is None:
+        w = weierstrass_correction(poly, z)
+        d, delta = distances(z)
+    else:
+        w, d, delta = one_pass
     e = p_norm([wi / di for wi, di in zip(w, d)], norm)
     return OperatorData(w=w, d=d, delta=delta, e=e, p=norm)

@@ -1,6 +1,8 @@
 import functools
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -214,6 +216,25 @@ def test_long_rejected_values_are_shortened_in_error_messages(capsys, fault, val
             parse_problem(dict(WALKTHROUGH, **fault))
         message = str(excinfo.value)
     assert message == prefix + repr(value)[:57] + "..."
+    assert len(message) <= 150
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({LONG_TEXT: 1}, "unknown keys: " + repr([LONG_TEXT])[:57] + "..."),
+        (
+            {"initial": {LONG_TEXT: math.nan}},
+            ("initial." + LONG_TEXT)[:57] + "...: expected a finite number, got nan",
+        ),
+        ({"p": -(10**300)}, "p must be at least 1, got " + repr(-(10**300))[:57] + "..."),
+    ],
+    ids=["unknown-key", "key-path", "p-below-one"],
+)
+def test_long_keys_and_numbers_are_shortened_in_error_messages(fault, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_problem(dict(WALKTHROUGH, **fault))
+    assert str(excinfo.value) == message
     assert len(message) <= 150
 
 
@@ -505,3 +526,15 @@ def test_emit_rejects_what_encode_rejects(capsys):
     with pytest.raises(TypeError, match="cannot encode complex"):
         _emit("solve", {"z": 1j}, "json")
     assert capsys.readouterr().out == ""
+
+
+def test_module_entry_point_exits_with_the_code_of_main(capsys, monkeypatch):
+    # In-process, so a line-coverage run sees the entry point execute. runpy
+    # warns that it runs a module the package has already imported.
+    expected_code = main(["radii", "--n", "3"])
+    expected_out = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["weierstrass", "radii", "--n", "3"])
+    with pytest.warns(RuntimeWarning), pytest.raises(SystemExit) as excinfo:
+        runpy.run_module("weierstrass.cli", run_name="__main__")
+    assert excinfo.value.code == expected_code
+    assert capsys.readouterr().out.encode() == expected_out.encode()

@@ -384,3 +384,33 @@ def test_documents_with_two_faults(base):
 )
 def test_structural_faults(doc):
     assert_same_parse(doc)
+
+
+# --- numbers at the edge of the double range, and bools ----------------------
+
+#: The least integer that float() rounds up to 2**1024 and so rejects.
+BEYOND_DOUBLE = 2**1024 - 2**970
+
+
+@pytest.mark.parametrize(
+    "value, finite",
+    [
+        (BEYOND_DOUBLE, False),
+        (-BEYOND_DOUBLE, False),
+        (BEYOND_DOUBLE - 1, True),
+        (-(BEYOND_DOUBLE - 1), True),
+        (True, True),
+        (False, True),
+    ],
+    ids=["beyond", "-beyond", "largest", "-largest", "true", "false"],
+)
+@pytest.mark.parametrize("path", [("tol_e",), ("initial", 1, 0)], ids=["top-level", "in-initial"])
+def test_numbers_at_the_edge_of_the_double_range_and_bools(value, finite, path):
+    outcome = assert_same_parse(with_value(BASES["roots"], path, value))
+    rejected_as_non_finite = outcome[0] is ParseError and "expected a finite number" in outcome[1]
+    assert rejected_as_non_finite is not finite
+    if type(value) is bool:
+        # A bool is no number in any position, in the fast pass too.
+        assert outcome[0] is ParseError
+    elif finite and path[0] == "initial":
+        assert outcome[0][1][0] == math.copysign(1.7976931348623157e308, value).hex()

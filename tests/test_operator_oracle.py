@@ -5,6 +5,10 @@ sorted parts of the points rule a coincidence out, and `distances` sweeps the
 finite points in real-part order. Both promise the exact doubles, and the
 exact exceptions, of the direct formulas below, except that `distances`
 raises OverflowError only for a pair its sweep visits.
+
+Below degree `_ONE_PASS_BELOW`, `certificate_quantity` forms W, d and delta
+in one loop per row instead; it promises the doubles, and the exceptions, of
+`weierstrass_correction`, `distances` and `p_norm` run one after the other.
 """
 
 import cmath
@@ -20,9 +24,10 @@ from weierstrass import (
     Polynomial,
     certificate_quantity,
     distances,
+    p_norm,
     weierstrass_correction,
 )
-from weierstrass.operator import COINCIDENCE_FLOOR, _separated
+from weierstrass.operator import COINCIDENCE_FLOOR, _ONE_PASS_BELOW, _one_pass, _separated
 
 
 def reference_correction(poly, z):
@@ -71,6 +76,18 @@ def reference_distances(z):
             if sep < d[j]:
                 d[j] = sep
     return tuple(d), min(d)
+
+
+def reference_quantity(poly, z, p):
+    """W, d, delta and E = ||W/d||_p from the two kernels and `p_norm`."""
+    w = weierstrass_correction(poly, z)
+    d, delta = distances(z)
+    return w, d, delta, p_norm([wi / di for wi, di in zip(w, d)], p)
+
+
+def fused_quantity(poly, z, p):
+    data = certificate_quantity(poly, z, p)
+    return data.w, data.d, data.delta, data.e
 
 
 def _bits(value):
@@ -134,6 +151,39 @@ POINT_SETS = [
 
 
 @pytest.mark.parametrize("make_points", POINT_SETS, ids=[f.__name__[1:] for f in POINT_SETS])
+def test_certificate_quantity_matches_its_kernels_bit_for_bit(make_points):
+    # Both sides of the degree at which the one-pass loop hands over.
+    rng = random.Random(f"one-pass/{make_points.__name__}")
+    for n in range(2, _ONE_PASS_BELOW + 9):
+        z = make_points(rng, n)
+        for poly in (
+            Polynomial.from_coefficients([random_unit_disk(rng) for _ in range(n)]),
+            Polynomial.from_roots(_unit_disk_cloud(rng, n)),
+        ):
+            p = rng.choice((1, 2, 3.5, math.inf))
+            expected = _outcome(reference_quantity, poly, z, p)
+            assert _outcome(fused_quantity, poly, z, p) == expected, (n, poly)
+            if n < _ONE_PASS_BELOW and expected[0] == "ok":
+                assert _one_pass(poly, z) is not None, n
+
+
+def _quantity_outcomes(z):
+    """certificate_quantity and its reference at z, for a coefficient-held
+    and a root-held polynomial of degree len(z), and of one degree more."""
+    n = len(z)
+    polys = [
+        Polynomial.from_coefficients([0.5] * n),
+        Polynomial.from_roots([complex(k, 1) for k in range(n)]),
+        Polynomial.from_coefficients([0.5] * (n + 1)),
+    ]
+    return [
+        (_outcome_with_overflow(fused_quantity, poly, z, 2),
+         _outcome_with_overflow(reference_quantity, poly, z, 2))
+        for poly in polys
+    ]
+
+
+@pytest.mark.parametrize("make_points", POINT_SETS, ids=[f.__name__[1:] for f in POINT_SETS])
 def test_kernels_match_reference_bit_for_bit(make_points):
     rng = random.Random(f"oracle/{make_points.__name__}")
     for n in list(range(2, 13)) + [rng.randint(13, 99) for _ in range(6)] + [100]:
@@ -171,6 +221,8 @@ def test_degenerate_inputs_match_reference(z):
     poly = Polynomial.from_coefficients([0.5] * len(z))
     assert _outcome(distances, z) == _outcome(reference_distances, z)
     assert _outcome(weierstrass_correction, poly, z) == _outcome(reference_correction, poly, z)
+    for got, expected in _quantity_outcomes(z):
+        assert got == expected
 
 
 DEGENERATE_PARTS = (NAN, INF, -INF, 0.0, -0.0, 1e-310, 1e-300, 1e307, -1e307)
@@ -202,6 +254,9 @@ def test_degenerate_sweep_matches_reference():
         assert _outcome(weierstrass_correction, poly[len(z)], z) == _outcome(
             reference_correction, poly[len(z)], z
         ), z
+        assert _outcome_with_overflow(fused_quantity, poly[len(z)], z, 1) == (
+            _outcome_with_overflow(reference_quantity, poly[len(z)], z, 1)
+        ), z
 
 
 def test_conjugate_pair_keeps_the_sign_of_zero():
@@ -210,6 +265,7 @@ def test_conjugate_pair_keeps_the_sign_of_zero():
     poly = Polynomial.from_coefficients([0, 0])
     z = [1 - 1j, 1 + 1j]
     assert _outcome(weierstrass_correction, poly, z) == _outcome(reference_correction, poly, z)
+    assert _outcome(fused_quantity, poly, z, 2) == _outcome(reference_quantity, poly, z, 2)
 
 
 def _outcome_with_overflow(f, *args):
@@ -259,6 +315,8 @@ def test_separation_boundary_matches_reference(z):
     poly = Polynomial.from_coefficients([0.5] * len(z))
     got = _outcome_with_overflow(weierstrass_correction, poly, z)
     assert got == _outcome_with_overflow(reference_correction, poly, z)
+    for got, expected in _quantity_outcomes(z):
+        assert got == expected
 
 
 def test_distances_raise_only_for_a_pair_the_sweep_visits():
