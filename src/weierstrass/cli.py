@@ -68,63 +68,69 @@ def _brief(value: Any) -> str:
     return _cut(repr(value))
 
 
-def _as_complex(value: Any, where: str) -> complex:
+def _as_complex(value: Any, field: str, index: int | None = None) -> complex:
+    """value as a complex number; an error names it as field, or as
+    field[index] for a list entry."""
     if type(value) in _NUMBER:
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(type(t) in _NUMBER for t in value):
+    if (
+        isinstance(value, list)
+        and len(value) == 2
+        and type(value[0]) in _NUMBER
+        and type(value[1]) in _NUMBER
+    ):
         return complex(value[0], value[1])
+    where = field if index is None else f"{field}[{index}]"
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {_brief(value)}")
 
 
-def _as_points(raw: list, field: str) -> tuple[complex, ...]:
-    """The entries of a list field as complex numbers. A list of [re, im]
-    pairs converts in one pass; any other entry takes `_as_complex`."""
-    points = [
-        complex(*v)
-        for v in raw
-        if type(v) is list and len(v) == 2 and type(v[0]) in _NUMBER and type(v[1]) in _NUMBER
-    ]
-    if len(points) == len(raw):
-        return tuple(points)
-    return tuple(_as_complex(v, f"{field}[{i}]") for i, v in enumerate(raw))
-
-
-def _finite(value: Any) -> bool:
-    """True when `_reject_non_finite` passes value, decided without naming a
-    path. A list of numbers is tested in one pass; a list holding anything
-    else is tested entry by entry. False alarms (a float subclass holding
-    NaN, which the walk ignores) only send the document through the walk."""
-    if isinstance(value, dict):
-        return all(map(_finite, value.values()))
-    try:
-        if isinstance(value, list):
-            return all(map(math.isfinite, value))
-        return type(value) not in _NUMBER or math.isfinite(value)
-    except OverflowError:
-        return False
-    except (TypeError, ValueError):
-        return all(map(_finite, value))
-
-
-def _reject_non_finite(value: Any, where: str) -> None:
-    """Reject JSON's NaN and Infinity literals, and integers too large for a
-    double, which no problem field can take, naming the first by its path."""
-    if type(value) is float and not math.isfinite(value):
-        raise ParseError(f"{_cut(where)}: expected a finite number, got {value!r}")
+def _non_finite_path(value: Any) -> list | None:
+    """The keys and indices, innermost first, that lead from value to its
+    first NaN, infinity or integer too large for a double; None if it has
+    none. A list of numbers is tested in one pass; any other list, entry by
+    entry."""
+    if type(value) is float:
+        return None if math.isfinite(value) else []
     if type(value) is int:
         try:
             float(value)
         except OverflowError:
-            raise ParseError(
-                f"{_cut(where)}: expected a finite number, "
-                "got an integer beyond the double range"
-            )
+            return []
+        return None
     if isinstance(value, list):
-        for i, item in enumerate(value):
-            _reject_non_finite(item, f"{where}[{i}]")
+        try:
+            if all(map(math.isfinite, value)):
+                return None
+        except (TypeError, ValueError, OverflowError):
+            pass
+        entries = enumerate(value)
     elif isinstance(value, dict):
-        for key, item in value.items():
-            _reject_non_finite(item, f"{where}.{key}" if where else key)
+        entries = value.items()
+    else:
+        return None
+    for key, item in entries:
+        path = _non_finite_path(item)
+        if path is not None:
+            path.append(key)
+            return path
+    return None
+
+
+def _reject_non_finite(doc: dict) -> None:
+    """Reject JSON's NaN and Infinity literals, and integers too large for a
+    double, which no problem field can take, naming the first by its path."""
+    path = _non_finite_path(doc)
+    if path is None:
+        return
+    where, value = "", doc
+    for key in reversed(path):
+        if isinstance(value, list):
+            where += f"[{key}]"
+        else:
+            where += f".{key}" if where else key
+        value = value[key]
+    got = repr(value) if type(value) is float else "an integer beyond the double range"
+    raise ParseError(f"{_cut(where)}: expected a finite number, got {got}")
 
 
 def _pair(z: complex) -> list[float]:
@@ -152,8 +158,7 @@ def parse_problem(doc: Any) -> Problem:
     unknown = set(doc) - _PROBLEM_KEYS
     if unknown:
         raise ParseError(f"unknown keys: {_brief(sorted(unknown))}")
-    if not _finite(doc):
-        _reject_non_finite(doc, "")
+    _reject_non_finite(doc)
     has_coeffs = "coefficients" in doc
     if has_coeffs == ("roots" in doc):
         raise ParseError('exactly one of "coefficients" or "roots" is required')
@@ -161,7 +166,7 @@ def parse_problem(doc: Any) -> Problem:
     raw = doc[field]
     if not isinstance(raw, list) or len(raw) < 2:
         raise ParseError(f'"{field}" must be a list of at least 2 entries')
-    values = _as_points(raw, field)
+    values = tuple([_as_complex(v, field, i) for i, v in enumerate(raw)])
 
     if has_coeffs:
         leading = _as_complex(doc.get("leading", 1), "leading")
@@ -189,7 +194,7 @@ def parse_problem(doc: Any) -> Problem:
     elif isinstance(raw_initial, list):
         if len(raw_initial) != n:
             raise ParseError(f'"initial" has {len(raw_initial)} entries, polynomial degree is {n}')
-        z0 = _as_points(raw_initial, "initial")
+        z0 = tuple([_as_complex(v, "initial", i) for i, v in enumerate(raw_initial)])
     else:
         raise ParseError('"initial" must be a list of points or {"perturb_roots": eps}')
 

@@ -162,6 +162,31 @@ def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("roots", [[1, 0], "@"], "roots[1]: expected a number or [re, im] pair"),
+        ("initial", [[1, 0], "@"], "initial[1]: expected a number or [re, im] pair"),
+        ("initial", {"perturb_roots": "@"}, '"perturb_roots" must be a positive number'),
+        ("initial", [[1, 0], "@NaN"], "initial[1][0][0][0]"),
+        ("initial", {"a": "{"}, '"initial" object form must be'),
+    ],
+    ids=["roots-entry", "initial-entry", "perturb", "nan-at-the-bottom", "objects"],
+)
+def test_nesting_the_decoder_accepts_is_an_input_error(tmp_path, capsys, field, value, message):
+    # 700 levels decode, and the validation walk must take them without a
+    # RecursionError: one frame per level.
+    deep = "[" * 700 + "]" * 700
+    text = json.dumps(dict(WALKTHROUGH, **{field: value}))
+    text = text.replace('"@NaN"', deep.replace("[]", "[NaN]")).replace('"@"', deep)
+    text = text.replace('"{"', '{"a": ' * 700 + "1" + "}" * 700)
+    path = tmp_path / "deep.json"
+    path.write_text(text + "\n")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"initial": [[1, 0], [2, 0]]},  # no polynomial
