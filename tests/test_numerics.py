@@ -189,10 +189,30 @@ def _equal_infinities(rng, n):
     return computed, truth
 
 
+def _repeated_point(rng, n):
+    # The truth with its first point repeated, computed a shuffled copy of it:
+    # two pairings have error 0, and the first in lexicographic order wins.
+    truth = _cloud(rng, n)
+    truth[-1] = truth[0]
+    computed = list(truth)
+    rng.shuffle(computed)
+    return computed, truth
+
+
+def _reversed_match(rng, n):
+    # computed[i] is truth[n - 1 - i] plus an offset far below the separation,
+    # so the optimum is the last permutation in lexicographic order.
+    truth = list(random_distinct_points(rng, n, radius=1.5, min_sep=0.1))
+    return [z + 1e-3 * _cloud(rng, 1, 1.0)[0] for z in reversed(truth)], truth
+
+
 MATCH_SHAPES = {
     "cloud": lambda rng, n: (_cloud(rng, n), _cloud(rng, n)),
     "near": lambda rng, n: _near_match(rng, n, 1e-3),
     "equal": lambda rng, n: ([_cloud(rng, 1)[0]] * n, _cloud(rng, n)),
+    "equal_truth": lambda rng, n: (_cloud(rng, n), [_cloud(rng, 1)[0]] * n),
+    "repeated": _repeated_point,
+    "reversed": _reversed_match,
     "grid": lambda rng, n: tuple(
         [complex(round(z.real, 1), round(z.imag, 1)) for z in _cloud(rng, n, 0.3)] for _ in "ab"
     ),
@@ -231,12 +251,35 @@ def test_exhaustive_search_is_bit_identical_to_reference(shape):
 
 
 @pytest.mark.parametrize(
-    "shape, p", [("near", 2), ("grid", math.inf), ("tiny", 2), ("huge", 800)]
+    "shape, p",
+    [
+        ("near", 2),
+        ("grid", math.inf),
+        ("tiny", 2),
+        ("huge", 800),
+        ("equal_truth", math.inf),
+        ("repeated", math.inf),
+        ("reversed", math.inf),
+    ],
 )
 def test_exhaustive_search_is_bit_identical_to_reference_at_n8(shape, p):
     rng = random.Random(f"match8-{shape}")
     computed, truth = MATCH_SHAPES[shape](rng, 8)
     _assert_matches_reference(computed, truth, p)
+
+
+def test_match_roots_at_p_inf_enumerates_no_permutations(monkeypatch):
+    # Up to exhaustive_limit, p = inf is a pruned search over the table of
+    # moduli, not a score of every permutation.
+    def refuse(*args):
+        raise AssertionError("itertools.permutations called at p = inf")
+
+    monkeypatch.setattr(itertools, "permutations", refuse)
+    for shape in sorted(MATCH_SHAPES):
+        rng = random.Random(f"match-inf-{shape}")
+        for n in range(1, 9):
+            perm, _ = match_roots(*MATCH_SHAPES[shape](rng, n), math.inf)
+            assert sorted(perm) == list(range(n))
 
 
 # --- the assignment path (n > exhaustive_limit) at large p -------------------

@@ -71,6 +71,21 @@ def test_solver_options_validation():
         SolverOptions(tol_e=-1.0)
 
 
+@pytest.mark.parametrize("field", ["tol_e", "tol_step"])
+def test_solver_options_reject_a_nan_tolerance(field):
+    # nan < 0.0 is False: a NaN tol_e was accepted and never met, so a run on
+    # z^2 - 1 went on to the max_iter cap.
+    with pytest.raises(ValueError, match="tolerances must be nonnegative"):
+        SolverOptions(**{field: math.nan})
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 100.0, True, "100"])
+def test_solver_options_reject_a_max_iter_that_is_not_an_int(max_iter):
+    # 2.5 and 100.0 were accepted, and run_sor then raised TypeError in range().
+    with pytest.raises(ValueError, match="max_iter must be an int"):
+        SolverOptions(max_iter=max_iter)
+
+
 def test_fixed_unit_damping_reproduces_plain_exactly():
     opts_plain = SolverOptions(p=NormIndex(math.inf))
     opts_fixed = SolverOptions(p=NormIndex(math.inf), mode="sor_fixed", h=1.0)
