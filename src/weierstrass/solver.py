@@ -70,9 +70,12 @@ class SolverOptions:
             raise ValueError(f"mode must be one of {tuple(_DAMPING)}, got {self.mode!r}")
         if not 0.0 < self.h <= 1.0:
             raise ValueError(f"fixed acceleration must lie in (0, 1], got {self.h}")
+        if type(self.max_iter) is not int:
+            raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.tol_e < 0.0 or self.tol_step < 0.0:
+        # Written so that a NaN tolerance, which no E or step ever meets, fails.
+        if not (self.tol_e >= 0.0 and self.tol_step >= 0.0):
             raise ValueError("tolerances must be nonnegative")
 
 
