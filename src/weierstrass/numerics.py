@@ -47,12 +47,15 @@ def match_roots(
     """Pair computed values with true roots, minimizing ||computed - truth[perm]||_p.
 
     Returns (perm, error) where perm[i] is the index of the true root assigned
-    to computed[i]. Up to `exhaustive_limit` points every permutation is
-    scored, and the first minimal one in lexicographic order wins; the search
-    serves as its own oracle. Each score comes from the table of moduli
+    to computed[i]. Up to `exhaustive_limit` points the first minimal
+    permutation in lexicographic order wins; the search serves as its own
+    oracle. At finite p every permutation is scored from the table of moduli
     |computed[i] - truth[j]| (and their p-th powers), summed in index order,
-    and is bit-identical to p_norm of that permutation's differences: where
-    p_norm would rescale, the score calls it. Beyond the limit the
+    bit-identical to p_norm of that permutation's differences: where p_norm
+    would rescale, the score calls it. At p = inf the score is the largest
+    table entry, which rounds nothing, so a depth-first search that prunes
+    by the best maximum found gives the same permutation as scoring every
+    one, usually after a few dozen branches. Beyond the limit the
     assignment is still exact: threshold bipartite matching gives the least
     largest distance t*, which is the answer for p = inf, and for finite p
     shortest augmenting paths minimize the sum of (d / t*)^p, which can
@@ -70,15 +73,17 @@ def match_roots(
         return (), 0.0
 
     dist = [_moduli([ai - bj for bj in b]) for ai in a]
-    if n <= exhaustive_limit:
+    if n > exhaustive_limit:
+        perm = _bottleneck_assignment(dist)
+        if perm is not None and not math.isinf(norm.p):
+            perm = _min_power_sum_assignment(dist, perm, norm.p)
+    elif math.isinf(norm.p):
+        perm = _least_max_permutation(dist)
+    else:
         perms = itertools.permutations(range(n))
         if any(d != d for row in dist for d in row):
             perms = (s for s in perms if all(dist[i][j] == dist[i][j] for i, j in enumerate(s)))
         perm = min(perms, key=_table_score(a, b, dist, norm), default=None)
-    else:
-        perm = _bottleneck_assignment(dist)
-        if perm is not None and not math.isinf(norm.p):
-            perm = _min_power_sum_assignment(dist, perm, norm.p)
     if perm is None:
         return tuple(range(n)), math.nan
     return tuple(perm), p_norm([a[i] - b[perm[i]] for i in range(n)], norm)
@@ -88,10 +93,9 @@ def _table_score(
     a: list[complex], b: list[complex], dist: list[list[float]], norm: NormIndex
 ) -> Callable[[tuple[int, ...]], float]:
     """Return perm -> p_norm([a[i] - b[perm[i]] for i], norm), read from
-    dist[i][j] = abs(a[i] - b[j]) with the same terms in the same order."""
+    dist[i][j] = abs(a[i] - b[j]) with the same terms in the same order, for
+    finite p."""
     pick = list.__getitem__
-    if math.isinf(norm.p):
-        return lambda perm: max(map(pick, dist, perm))
     if norm.p == 1:
         return lambda perm: sum(map(pick, dist, perm))
     q = norm.p
@@ -106,6 +110,53 @@ def _table_score(
         return p_norm([a[i] - b[j] for i, j in enumerate(perm)], norm)
 
     return score
+
+
+def _least_max_permutation(dist: list[list[float]]) -> list[int] | None:
+    """The first permutation in lexicographic order whose largest entry
+    dist[i][perm[i]] is least among those that avoid NaN entries, or None
+    when every permutation meets one.
+
+    Rows are filled depth-first in order, each with its unused columns in
+    ascending order. A branch whose running maximum is already at least the
+    best found cannot do strictly better, so it is dropped, and a completed
+    permutation replaces the best only by being strictly smaller. No
+    permutation can beat the largest row or column minimum, so the search
+    stops when the best reaches it.
+    """
+    n = len(dist)
+    floor = 0.0
+    for line in (*dist, *zip(*dist)):
+        usable = [d for d in line if d == d]
+        if not usable:
+            return None
+        floor = max(floor, min(usable))
+    used = [False] * n
+    perm = [0] * n
+    best: list[int] | None = None
+    best_max = math.nan  # no permutation yet: every comparison with it is False
+
+    def extend(i: int, running: float) -> bool:
+        """Fill rows i.. under the running maximum; True once best_max == floor."""
+        nonlocal best, best_max
+        if i == n:
+            best, best_max = perm.copy(), running
+            return best_max == floor
+        for j, d in enumerate(dist[i]):
+            if used[j] or d != d:
+                continue
+            top = d if d > running else running
+            if top >= best_max:
+                continue
+            used[j], perm[i] = True, j
+            done = extend(i + 1, top)
+            used[j] = False
+            if done:
+                return True
+        return False
+
+    extend(0, 0.0)
+    return best
 
 
 def _power_or_inf(d: float, q: float) -> float:
