@@ -5,7 +5,9 @@ over several; a file that holds exactly one array is a batch, and a decode
 error names its line. Complex numbers are [re, im] pairs; p = inf is encoded
 as the string "inf". Reports are JSON objects with fixed top-level keys
 input/certificate/trace/result, one line per problem, with floats at full
-round-trip precision so identical inputs produce byte-identical output. Exit
+round-trip precision so identical inputs produce byte-identical output on one
+Python version: from 3.12 on the built-in sum() of floats is compensated, so
+last digits can differ from the output of 3.10 and 3.11. Exit
 codes: 0 success/convergence, 1 input or domain error, 2 non-convergence (or
 a failed certificate check).
 """
