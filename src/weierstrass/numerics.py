@@ -55,7 +55,7 @@ def match_roots(
     would rescale, the score calls it. At p = inf the score is the largest
     table entry, which rounds nothing, so a depth-first search that prunes
     by the best maximum found gives the same permutation as scoring every
-    one, usually after a few dozen branches. Beyond the limit the
+    one, typically after tens to hundreds of branches. Beyond the limit the
     assignment is still exact: threshold bipartite matching gives the least
     largest distance t*, which is the answer for p = inf, and for finite p
     shortest augmenting paths minimize the sum of (d / t*)^p, which can
