@@ -124,6 +124,18 @@ def test_match_roots_with_a_nan_coordinate(call):
     assert perm == (0, 1, 2) and math.isnan(err)
 
 
+def test_match_roots_when_no_pairing_avoids_a_nan_distance():
+    # inf - inf is NaN, so computed 0 and 1 are at a NaN distance from truth
+    # 0 and 1, and both can pair only with truth 2. No row or column is all
+    # NaN, yet every pairing meets a NaN distance.
+    computed = [complex(math.inf, 0), complex(math.inf, 1), 0]
+    truth = [complex(math.inf, 0.5), complex(math.inf, 2), 1]
+    for p in (1, 2, math.inf):
+        for limit in (0, 8):
+            perm, err = match_roots(computed, truth, p, exhaustive_limit=limit)
+            assert perm == (0, 1, 2) and math.isnan(err)
+
+
 def test_match_roots_length_mismatch():
     with pytest.raises(ValueError):
         match_roots((1, 2), (1, 2, 3), 2)
