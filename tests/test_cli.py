@@ -1,3 +1,4 @@
+import cmath
 import functools
 import json
 import math
@@ -563,3 +564,40 @@ def test_module_entry_point_exits_with_the_code_of_main(capsys, monkeypatch):
         runpy.run_module("weierstrass.cli", run_name="__main__")
     assert excinfo.value.code == expected_code
     assert capsys.readouterr().out.encode() == expected_out.encode()
+
+
+# ROADMAP item 15: f(z_i) has n factors of size |z_i - r_j| and underflows to
+# 0 while the denominator does not, so W = 0 and E = 0 at a point that is not
+# a root. certify then reports e0 0.0 and satisfied, and solve stops at k = 0
+# by tol_e. Each case asserts the correct behaviour; fixing item 15 makes it
+# pass, and the xfail marker must then go.
+ITEM_15 = "ROADMAP item 15: an underflowing f(z_i) gives E = 0"
+UNDERFLOWING_F = {"n100-modulus-10^-3.25": (100, 10**-3.25), "n20-modulus-2^-55": (20, 2.0**-55)}
+
+
+def _circle_document(n, modulus):
+    """n roots of one modulus evenly spaced on a circle, started 1% further
+    out along each root's ray, at p = inf."""
+    roots = [modulus * cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    return {
+        "roots": [[z.real, z.imag] for z in roots],
+        "initial": [[1.01 * z.real, 1.01 * z.imag] for z in roots],
+        "p": "inf",
+    }
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_15)
+@pytest.mark.parametrize("case", sorted(UNDERFLOWING_F))
+def test_certify_does_not_certify_a_wrong_point_with_e0_zero(tmp_path, capsys, case):
+    path = write_problem(tmp_path, _circle_document(*UNDERFLOWING_F[case]))
+    code, out, _ = run_cli(capsys, "certify", path)
+    assert code != 0 or json.loads(out)["certificate"]["e0"] > 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_15)
+@pytest.mark.parametrize("case", sorted(UNDERFLOWING_F))
+def test_solve_does_not_converge_at_a_wrong_start_in_zero_steps(tmp_path, capsys, case):
+    path = write_problem(tmp_path, _circle_document(*UNDERFLOWING_F[case]))
+    code, out, _ = run_cli(capsys, "solve", path)
+    result = code == 0 and json.loads(out)["result"]
+    assert not (result and result["converged"] and result["iterations"] == 0)

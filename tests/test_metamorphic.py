@@ -7,7 +7,8 @@ must give outputs related in the same way, on any input.
 - Scaling by 2^k. Multiplying by a power of two is exact while every
   intermediate stays normal, and E(z) is scale-free, so every iterate scales
   exactly and E, the step count and the stop reason are unchanged. Scales
-  that leave the normal range are outside this module.
+  that leave the normal range are outside this module. The same holds for
+  match_roots: the pairing is unchanged and the error scales exactly.
 """
 
 import cmath
@@ -84,3 +85,17 @@ def test_scaling_roots_and_start_by_a_power_of_two_scales_every_iterate(k):
         for got, want in zip(scaled.records, trace.records):
             assert got.z == tuple(s * z for z in want.z), (k, roots, z0, opts)
         assert scaled.final == tuple(s * z for z in trace.final)
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_scaling_by_a_power_of_two_keeps_the_match_and_scales_its_error(k):
+    s = 2.0**k
+    rng = random.Random(f"metamorphic-match{k}")
+    for roots, z0, _ in _problems(f"match{k}", 8):
+        computed = list(z0)
+        rng.shuffle(computed)
+        for p in PS:
+            perm, err = match_roots(computed, roots, p)
+            scaled = match_roots([s * z for z in computed], [s * r for r in roots], p)
+            assert scaled[0] == perm, (k, roots, computed, p)
+            assert scaled[1].hex() == (s * err).hex(), (k, roots, computed, p)

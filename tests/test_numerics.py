@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import weierstrass.numerics
+import weierstrass.operator
 from conftest import random_distinct_points
 from weierstrass import (
     ConvergenceFailure,
@@ -272,6 +274,13 @@ def test_exhaustive_search_is_bit_identical_to_reference(shape):
         ("equal_truth", math.inf),
         ("repeated", math.inf),
         ("reversed", math.inf),
+        ("near", 1),
+        ("grid", 1),
+        ("reversed", 1),
+        ("huge", 1),
+        ("repeated", 1),
+        ("equal", 1),
+        ("equal_truth", 1),
     ],
 )
 def test_exhaustive_search_is_bit_identical_to_reference_at_n8(shape, p):
@@ -292,6 +301,77 @@ def test_match_roots_at_p_inf_enumerates_no_permutations(monkeypatch):
         for n in range(1, 9):
             perm, _ = match_roots(*MATCH_SHAPES[shape](rng, n), math.inf)
             assert sorted(perm) == list(range(n))
+
+
+# Computed points near distinct true points, the matcher's use: at n = 8,
+# 300 inputs of each took at most 3,353 search nodes at p = 1.
+NEAR_MATCHES = ("near", "repeated", "reversed", "tiny")
+
+
+def _counting_permutations(monkeypatch):
+    calls = []
+    permutations = itertools.permutations
+
+    def counted(*args):
+        calls.append(args)
+        return permutations(*args)
+
+    monkeypatch.setattr(itertools, "permutations", counted)
+    return calls
+
+
+def test_match_roots_at_p1_enumerates_no_permutations_for_near_matches(monkeypatch):
+    # Up to exhaustive_limit, p = 1 is a pruned search over the table of
+    # moduli, not a score of every permutation.
+    calls = _counting_permutations(monkeypatch)
+    for shape in NEAR_MATCHES:
+        rng = random.Random(f"match-one-{shape}")
+        for n in range(1, 9):
+            for _ in range(3):
+                perm, _ = match_roots(*MATCH_SHAPES[shape](rng, n), 1)
+                assert sorted(perm) == list(range(n))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "shape, seed",
+    [
+        # Every computed point equal, or every true point: all totals tie in
+        # exact arithmetic, rounding picks the winner and no prune can fire.
+        ("equal", "match-tie-equal"),
+        ("equal_truth", "match-tie-equal_truth"),
+        # An independent random cloud that needs 10,545 nodes; 27 of 300
+        # such clouds at n = 8 needed more than the budget.
+        ("cloud", "match-budget-6"),
+    ],
+)
+def test_match_roots_at_p1_past_the_node_budget_scores_every_permutation(
+    monkeypatch, shape, seed
+):
+    computed, truth = MATCH_SHAPES[shape](random.Random(seed), 8)
+    want = _outcome(_reference_match, computed, truth, 1)
+    calls = _counting_permutations(monkeypatch)
+    assert _outcome(match_roots, computed, truth, 1) == want
+    assert calls == [(range(8),)]
+
+
+def _compensated_sum(iterable, start=0):
+    """A stand-in for the compensated float sum() of CPython 3.12+:
+    math.fsum, which is correctly rounded."""
+    return math.fsum([start, *iterable])
+
+
+@pytest.mark.parametrize("shape", sorted(MATCH_SHAPES))
+def test_p1_search_matches_reference_under_a_compensated_sum(monkeypatch, shape):
+    # The search bounds each branch by left-to-right partial sums but scores
+    # a complete permutation with sum(), as p_norm does. Its relative margin
+    # must keep the prune exact when sum() rounds differently.
+    for module in (weierstrass.numerics, weierstrass.operator):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    rng = random.Random(f"match-fsum-{shape}")
+    for n in range(1, 9):
+        computed, truth = MATCH_SHAPES[shape](rng, n)
+        _assert_matches_reference(computed, truth, 1)
 
 
 # --- the assignment path (n > exhaustive_limit) at large p -------------------
