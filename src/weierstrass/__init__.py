@@ -11,6 +11,8 @@ sufficient convergence radii and implements the damped (SOR) iteration.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .certificates import (
     Certificate,
     RadiusEntry,
@@ -72,59 +74,9 @@ from .solver import (
     run_weierstrass,
 )
 
-__all__ = [
-    "Certificate",
-    "CertificateNotSatisfied",
-    "ConvergenceFailure",
-    "DEFAULT_MAX_DEGREE",
-    "DegenerateDenominator",
-    "DegreeTooLarge",
-    "DegreeTooSmall",
-    "DistinctCoordinatesViolated",
-    "DomainViolation",
-    "DuplicateRoots",
-    "InvalidExponent",
-    "IterationRecord",
-    "IterationTrace",
-    "NoSignChange",
-    "NonFiniteValue",
-    "NormIndex",
-    "OperatorData",
-    "ParseError",
-    "PointVector",
-    "Polynomial",
-    "RadiusEntry",
-    "SolverOptions",
-    "WeierstrassError",
-    "ZeroLeadingCoefficient",
-    "aposteriori_bound",
-    "apriori_bound",
-    "as_norm",
-    "bisect",
-    "c_wangzhao_inf",
-    "c_wangzhao_l1",
-    "certificate_from_quantity",
-    "certificate_quantity",
-    "certify",
-    "conjugate_exponent",
-    "convergence_radius",
-    "distances",
-    "h_ratio",
-    "h_wangzhao",
-    "lambda_zheng",
-    "majorant",
-    "match_roots",
-    "p_norm",
-    "radius_exp_majorant",
-    "radius_han",
-    "radius_inf_linear",
-    "radius_simple",
-    "radius_sum_norm",
-    "radius_table",
-    "radius_zhaowang_l1",
-    "run_sor",
-    "run_weierstrass",
-    "solve_exp_fixed_point",
-    "threshold_petkovic_herceg",
-    "weierstrass_correction",
-]
+#: Every public name bound above, except the submodules, sorted.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -10,15 +10,20 @@ from typing import Callable, Sequence
 from .errors import ConvergenceFailure, NoSignChange
 from .operator import _MIN_NORMAL, NormIndex, NormLike, _moduli, as_norm, p_norm
 
-#: Steps bisect takes before giving up on reaching width tol.
+#: Bracket width at which bisect stops, and the steps it takes before it
+#: gives up on reaching it.
+_WIDTH = 1e-12
 _STEP_CAP = 200
+#: Largest n that match_roots solves by lexicographic search.
+_EXHAUSTIVE_LIMIT = 8
 #: Nodes (the root, partial and complete permutations) that match_roots'
 #: pruned search visits at p = 1 before it scores all n! permutations.
 _NODE_BUDGET = 4_000
 
 
-def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Bisection root of f on [lo, hi]; requires a sign change on the bracket."""
+def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Bisection root of f on [lo, hi], to a bracket width of 1e-12; requires a
+    sign change on the bracket."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     flo, fhi = f(lo), f(hi)
@@ -37,37 +42,34 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
             lo, flo = mid, fm
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= _WIDTH:
             return 0.5 * (lo + hi)
-    raise ConvergenceFailure(f"bisection did not reach width {tol} in {_STEP_CAP} iterations")
+    raise ConvergenceFailure(f"bisection did not reach width {_WIDTH} in {_STEP_CAP} iterations")
 
 
 def match_roots(
-    computed: Sequence[complex],
-    truth: Sequence[complex],
-    p: NormLike = 2,
-    exhaustive_limit: int = 8,
+    computed: Sequence[complex], truth: Sequence[complex], p: NormLike = 2
 ) -> tuple[tuple[int, ...], float]:
     """Pair computed values with true roots, minimizing ||computed - truth[perm]||_p.
 
     Returns (perm, error) where perm[i] is the index of the true root assigned
-    to computed[i]. Up to `exhaustive_limit` points the first minimal
-    permutation in lexicographic order wins, scored from the table of moduli
-    |computed[i] - truth[j]| (and their p-th powers) summed in index order,
-    bit-identical to p_norm of that permutation's differences: where p_norm
-    would rescale, the score calls it. At p = 1 and p = inf a depth-first
-    search that prunes by the best score found (`_least_permutation`) gives
-    the same result as scoring all n! permutations, bit for bit: at n = 8 it
-    visits 9 nodes when computed point i is nearest truth i. At p = 1 its
-    prune keeps a relative margin for the rounding of sum(), and after 4,000
-    nodes (exact ties; a full tree at n = 8 has 109,601) it scores all n!,
-    as other p always do. Beyond the limit the assignment is still exact:
-    threshold bipartite matching gives the least largest distance t*, which
-    is the answer for p = inf, and for finite p shortest augmenting paths
-    minimize the sum of (d / t*)^p, which can neither overflow nor all
-    underflow to zero. On both paths no pairing goes through a NaN distance
-    (equal infinities or a NaN coordinate); when every pairing does, the
-    identity is returned with a NaN error.
+    to computed[i]. n and p alone choose the algorithm. Up to 8 points the
+    first minimal permutation in lexicographic order wins, scored from the
+    table of moduli |computed[i] - truth[j]| (and their p-th powers) summed in
+    index order, bit-identical to p_norm of that permutation's differences:
+    where p_norm would rescale, the score calls it. At p = 1 and p = inf a
+    depth-first search that prunes by the best score found
+    (`_least_permutation`) gives the same result as scoring all n!
+    permutations, bit for bit: at n = 8 it visits 9 nodes when computed point
+    i is nearest truth i. At p = 1 its prune keeps a relative margin for the
+    rounding of sum(), and after 4,000 nodes (exact ties; a full tree at
+    n = 8 has 109,601) it scores all n!, as other p always do. Beyond 8
+    points the assignment is still exact: threshold bipartite matching gives
+    the least largest distance t*, which is the answer for p = inf, and for
+    finite p shortest augmenting paths minimize the sum of (d / t*)^p, which
+    can neither overflow nor all underflow to zero. On both paths no pairing
+    goes through a NaN distance (equal infinities or a NaN coordinate); when
+    every pairing does, the identity is returned with a NaN error.
     """
     a = [complex(c) for c in computed]
     b = [complex(c) for c in truth]
@@ -79,7 +81,7 @@ def match_roots(
         return (), 0.0
 
     dist = [_moduli([ai - bj for bj in b]) for ai in a]
-    if n > exhaustive_limit:
+    if n > _EXHAUSTIVE_LIMIT:
         perm = _bottleneck_assignment(dist)
         if perm is not None and not math.isinf(norm.p):
             perm = _min_power_sum_assignment(dist, perm, norm.p)

@@ -17,19 +17,17 @@ from weierstrass import (
 
 
 def test_bisect_sqrt2():
-    root = bisect(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-12)
+    root = bisect(lambda x: x * x - 2.0, 1.0, 2.0)
     assert root == pytest.approx(math.sqrt(2), abs=1e-9)
 
 
 def test_bisect_exp_fixed_point():
-    root = bisect(lambda x: math.exp(1.0 / x) - x, 1.0, 3.0, tol=1e-12)
+    root = bisect(lambda x: math.exp(1.0 / x) - x, 1.0, 3.0)
     assert root == pytest.approx(1.763222, abs=1e-5)
 
 
 def test_bisect_sum_norm_radius_equation():
-    root = bisect(
-        lambda x: x / (1 - x) ** 2 * math.exp(x / (1 - x)) - 1.0, 1e-6, 0.9, tol=1e-12
-    )
+    root = bisect(lambda x: x / (1 - x) ** 2 * math.exp(x / (1 - x)) - 1.0, 1e-6, 0.9)
     assert root == pytest.approx(0.307541, abs=1e-5)
 
 
@@ -40,16 +38,17 @@ def test_bisect_requires_sign_change():
 
 def test_bisect_result_is_bracket_stable():
     f = lambda x: x * x * x - 5.0
-    tol = 1e-10
-    root = bisect(f, 1.0, 2.0, tol=tol)
+    tol = 1e-12  # bisect's bracket width
+    root = bisect(f, 1.0, 2.0)
     assert f(root - tol) <= 0.0 <= f(root + tol)
 
 
 def test_bisect_raises_when_the_width_is_out_of_reach():
-    # With tol = 0 the bracket stops shrinking at adjacent doubles around
-    # sqrt(2), where x * x - 2 is never 0, so the 200-step cap is reached.
+    # Near sqrt(2e10) adjacent doubles are 2.9e-11 apart, wider than 1e-12, so
+    # the bracket stops shrinking there, where x * x - 2e10 is never 0, and the
+    # 200-step cap is reached.
     with pytest.raises(ConvergenceFailure, match="in 200 iterations"):
-        bisect(lambda x: x * x - 2.0, 1.0, 2.0, tol=0.0)
+        bisect(lambda x: x * x - 2e10, 1e5, 2e5)
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
@@ -68,6 +67,14 @@ def test_bisect_returns_an_endpoint_where_f_is_zero():
     assert bisect(f, 1.0, 3.0) == 1.0
     assert bisect(f, -3.0, -1.0) == -1.0
     assert calls == [1.0, 3.0, -3.0, -1.0]
+
+
+def _match_with_limit(computed, truth, p, limit):
+    """match_roots with the lexicographic search up to `limit` points and the
+    assignment path above, to reach either path at any n."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(weierstrass.numerics, "_EXHAUSTIVE_LIMIT", limit)
+        return match_roots(computed, truth, p)
 
 
 def test_match_roots_swaps():
@@ -105,7 +112,7 @@ def test_assignment_path_agrees_with_exhaustive():
         a = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(n)]
         b = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(n)]
         _, err_exhaustive = match_roots(a, b, p)
-        _, err_assignment = match_roots(a, b, p, exhaustive_limit=0)
+        _, err_assignment = _match_with_limit(a, b, p, 0)
         assert err_assignment == pytest.approx(err_exhaustive, abs=1e-12)
 
 
@@ -117,7 +124,7 @@ def test_match_roots_at_p_inf_gives_the_same_result_for_reversed_lists():
     backward = ([1, math.inf], [2, complex(math.inf, 0.5)])
     for p in (1, 2, math.inf):
         for computed, truth in (forward, backward):
-            assert match_roots(computed, truth, p, exhaustive_limit=0) == ((1, 0), math.inf)
+            assert _match_with_limit(computed, truth, p, 0) == ((1, 0), math.inf)
             assert match_roots(computed, truth, p) == ((1, 0), math.inf)
 
 
@@ -134,7 +141,7 @@ def test_match_roots_when_no_pairing_avoids_a_nan_distance():
     truth = [complex(math.inf, 0.5), complex(math.inf, 2), 1]
     for p in (1, 2, math.inf):
         for limit in (0, 8):
-            perm, err = match_roots(computed, truth, p, exhaustive_limit=limit)
+            perm, err = _match_with_limit(computed, truth, p, limit)
             assert perm == (0, 1, 2) and math.isnan(err)
 
 
@@ -290,7 +297,7 @@ def test_exhaustive_search_is_bit_identical_to_reference_at_n8(shape, p):
 
 
 def test_match_roots_at_p_inf_enumerates_no_permutations(monkeypatch):
-    # Up to exhaustive_limit, p = inf is a pruned search over the table of
+    # Up to n = 8, p = inf is a pruned search over the table of
     # moduli, not a score of every permutation.
     def refuse(*args):
         raise AssertionError("itertools.permutations called at p = inf")
@@ -321,7 +328,7 @@ def _counting_permutations(monkeypatch):
 
 
 def test_match_roots_at_p1_enumerates_no_permutations_for_near_matches(monkeypatch):
-    # Up to exhaustive_limit, p = 1 is a pruned search over the table of
+    # Up to n = 8, p = 1 is a pruned search over the table of
     # moduli, not a score of every permutation.
     calls = _counting_permutations(monkeypatch)
     for shape in NEAR_MATCHES:
@@ -374,7 +381,7 @@ def test_p1_search_matches_reference_under_a_compensated_sum(monkeypatch, shape)
         _assert_matches_reference(computed, truth, 1)
 
 
-# --- the assignment path (n > exhaustive_limit) at large p -------------------
+# --- the assignment path (n > 8) at large p ----------------------------------
 
 
 def _shuffled_with_offsets(rng, truth, offset):
@@ -386,8 +393,8 @@ def _shuffled_with_offsets(rng, truth, offset):
 
 
 def _assert_assignment_near_exhaustive(computed, truth, p):
-    perm, err = match_roots(computed, truth, p, exhaustive_limit=0)
-    _, best = match_roots(computed, truth, p, exhaustive_limit=len(truth))
+    perm, err = _match_with_limit(computed, truth, p, 0)
+    _, best = _match_with_limit(computed, truth, p, len(truth))
     assert sorted(perm) == list(range(len(truth)))
     assert err == p_norm([a - truth[j] for a, j in zip(computed, perm)], p)
     assert abs(err - best) <= 1e-12 * best, (computed, truth, p)
@@ -409,7 +416,7 @@ def test_assignment_path_when_every_cost_underflows():
     rng = random.Random("assign-p2000")
     truth = [complex(1e-3 * k, 0) for k in range(5)]
     computed, perm = _shuffled_with_offsets(rng, truth, 1e-6)
-    got_perm, err = match_roots(computed, truth, 2000, exhaustive_limit=0)
+    got_perm, err = _match_with_limit(computed, truth, 2000, 0)
     assert got_perm == perm
     assert err < 1e-6
     _assert_assignment_near_exhaustive(computed, truth, 2000)
