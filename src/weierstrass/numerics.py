@@ -31,8 +31,8 @@ def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise NoSignChange(f"f({lo}) = {flo:.3g} and f({hi}) = {fhi:.3g} have equal sign")
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):  # a NaN end fails both
+        raise NoSignChange(f"f({lo}) = {flo:.3g} and f({hi}) = {fhi:.3g} do not change sign")
     for _ in range(_STEP_CAP):
         mid = 0.5 * (lo + hi)
         fm = f(mid)

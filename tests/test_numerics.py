@@ -36,6 +36,22 @@ def test_bisect_requires_sign_change():
         bisect(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: -1.0 if x < 1.5 else math.nan,
+        lambda x: math.nan if x < 1.5 else 1.0,
+        lambda x: math.nan,
+    ],
+)
+def test_bisect_refuses_a_nan_at_an_end_of_the_bracket(f):
+    # nan < 0 is False, so a sign test on `< 0` alone takes a NaN end for a
+    # positive one: it returns 1.4999999999995453 for the first f, which has
+    # no root there.
+    with pytest.raises(NoSignChange):
+        bisect(f, 0.0, 2.0)
+
+
 def test_bisect_result_is_bracket_stable():
     f = lambda x: x * x * x - 5.0
     tol = 1e-12  # bisect's bracket width
