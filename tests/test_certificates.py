@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+import weierstrass.certificates
 from conftest import random_distinct_points, random_unit_disk
 from weierstrass.certificates import _CATALOG
 from weierstrass import (
     Certificate,
     CertificateNotSatisfied,
+    ConvergenceFailure,
     DegenerateDenominator,
     DomainViolation,
     NormIndex,
@@ -247,6 +249,16 @@ def test_aposteriori_requires_satisfied_certificate():
         aposteriori_bound(SQUARE, (10, 9.9), math.inf, 1.0)
 
 
+def test_aposteriori_rejects_a_zero_denominator(monkeypatch):
+    # No point of a polynomial gives theta lam^2 = 1 with lam <= 1, so the
+    # certificate at z^k is substituted.
+    cert = Certificate(e0=0.1, lam=1.0, theta=1.0, satisfied=True, strict=False)
+    monkeypatch.setattr(weierstrass.certificates, "certify", lambda poly, zk, p: cert)
+    with pytest.raises(DegenerateDenominator) as excinfo:
+        aposteriori_bound(SQUARE, (2, -2), math.inf, 0.75)
+    assert str(excinfo.value) == "1 - theta lam^2 is not positive (lam = 1)"
+
+
 def test_aposteriori_equals_first_apriori_step():
     rng = random.Random(21)
     for _ in range(20):
@@ -334,6 +346,17 @@ def test_wang_zhao_inf_constants():
     assert c_wangzhao_inf(3) == pytest.approx(0.11261179092238027, abs=1e-6)
     for n in range(4, 101):
         assert c_wangzhao_inf(n) < 1 / (3 * n)
+
+
+def test_wang_zhao_inf_rejects_an_inaccurate_stationary_point(monkeypatch):
+    # A bisection that returns half the stationary point: the objective and
+    # its closed form at that point disagree, and the cross-check says so.
+    bisect = weierstrass.certificates.bisect
+    monkeypatch.setattr(
+        weierstrass.certificates, "bisect", lambda f, lo, hi: 0.5 * bisect(f, lo, hi)
+    )
+    with pytest.raises(ConvergenceFailure, match="inaccurate at n = 5: "):
+        c_wangzhao_inf.__wrapped__(5)
 
 
 def test_wang_zhao_l1_constants():
