@@ -9,6 +9,13 @@ must give outputs related in the same way, on any input.
   exactly and E, the step count and the stop reason are unchanged. Scales
   that leave the normal range are outside this module. The same holds for
   match_roots: the pairing is unchanged and the error scales exactly.
+- Permutation. Permuting the coordinates of the roots and the start
+  reorders the products and sums behind E, so E moves in its last bits
+  within a stated ulp budget, while the verdicts, the stop and the matched
+  roots are unchanged. Shuffling either list of match_roots maps its pairing
+  through the shuffles, and the error keeps its bits at p = inf, where it is
+  a max, and moves within a stated ulp budget at p = 1 and 2, where it is a
+  sum.
 """
 
 import cmath
@@ -17,6 +24,7 @@ import random
 
 import pytest
 
+from conftest import random_distinct_points, random_unit_disk
 from weierstrass import NormIndex, Polynomial, SolverOptions, match_roots, run_sor
 
 MODES = ("plain", "sor_wz", "sor_new", "sor_fixed")
@@ -46,6 +54,11 @@ def _run(roots, z0, opts):
 
 def _hex(x):
     return None if x is None else x.hex()
+
+
+def _ulps(a, b):
+    """|a - b| in units in the last place of the larger of the two."""
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
 
 
 def _real_fields(trace):
@@ -99,3 +112,55 @@ def test_scaling_by_a_power_of_two_keeps_the_match_and_scales_its_error(k):
             scaled = match_roots([s * z for z in computed], [s * r for r in roots], p)
             assert scaled[0] == perm, (k, roots, computed, p)
             assert scaled[1].hex() == (s * err).hex(), (k, roots, computed, p)
+
+
+def test_permuting_roots_and_start_permutes_the_run():
+    # Each W_i is a product of n factors over a product of n - 1, and E a sum
+    # or max over i; permuting the coordinates reorders the factors, so E at
+    # z0 moves in its last bits. The budget is 2n ulps: 9,000 seeded probes
+    # at n <= 20 and p in {1, 2, inf} moved it by at most 13 ulps (n = 20,
+    # p = inf). Later iterates drift apart by rounding and are not compared.
+    rng = random.Random("metamorphic-permute")
+    for roots, z0, opts in _problems("permute", 30):
+        n = len(roots)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        trace = _run(roots, z0, opts)
+        moved_roots = [roots[s] for s in sigma]
+        moved = _run(moved_roots, [z0[s] for s in sigma], opts)
+        case = (roots, z0, opts, sigma)
+        assert _ulps(moved.records[0].e, trace.records[0].e) <= 2 * n, case
+        verdict = (trace.certificate.satisfied, trace.certificate.strict, trace.converged)
+        assert (moved.certificate.satisfied, moved.certificate.strict, moved.converged) == verdict
+        assert (moved.steps, moved.stop_reason) == (trace.steps, trace.stop_reason), case
+        perm, _ = match_roots(trace.final, roots, opts.p)
+        moved_perm, _ = match_roots(moved.final, moved_roots, opts.p)
+        assert [moved_roots[j] for j in moved_perm] == [roots[perm[s]] for s in sigma], case
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_shuffling_both_lists_maps_the_match_through_the_shuffles(n):
+    # n = 6 takes the lexicographic search and n = 12 the assignment path.
+    # Both pair the same points; only the order of the error's terms moves.
+    # A max rounds nothing. A sum of n non-negative terms is within (n - 1) u
+    # relative of its exact value in any order, so two orders differ by at
+    # most 2n ulps, and the square root at p = 2 halves that.
+    rng = random.Random(f"metamorphic-shuffle{n}")
+    for _ in range(12):
+        truth = random_distinct_points(rng, n, min_sep=0.1)
+        computed = [z + 1e-3 * random_unit_disk(rng) for z in truth]
+        rng.shuffle(computed)
+        alpha, beta = list(range(n)), list(range(n))
+        rng.shuffle(alpha)
+        rng.shuffle(beta)
+        moved_computed = [computed[a] for a in alpha]
+        moved_truth = [truth[b] for b in beta]
+        for p in PS:
+            perm, err = match_roots(computed, truth, p)
+            moved_perm, moved_err = match_roots(moved_computed, moved_truth, p)
+            case = (computed, truth, alpha, beta, p)
+            assert [beta[j] for j in moved_perm] == [perm[a] for a in alpha], case
+            if math.isinf(p):
+                assert moved_err.hex() == err.hex(), case
+            else:
+                assert _ulps(moved_err, err) <= 2 * n, case
