@@ -45,9 +45,9 @@ def test_bisect_requires_sign_change():
     ],
 )
 def test_bisect_refuses_a_nan_at_an_end_of_the_bracket(f):
-    # nan < 0 is False, so a sign test on `< 0` alone takes a NaN end for a
-    # positive one: it returns 1.4999999999995453 for the first f, which has
-    # no root there.
+    # nan < 0 is False, so a sign test on `< 0` alone would take a NaN end
+    # for a positive one and bisect the first f down to 1.5, where it has no
+    # root.
     with pytest.raises(NoSignChange):
         bisect(f, 0.0, 2.0)
 
