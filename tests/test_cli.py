@@ -348,6 +348,13 @@ def test_radii_table_sum_norm(capsys):
     assert rows["wang-zhao-l1"]["majorant"] is None
 
 
+def test_radii_table_sum_norm_past_the_overflow_of_the_wang_zhao_series(capsys):
+    code, out, err = run_cli(capsys, "radii", "--n", "648", "--p", "1")
+    assert (code, err) == (0, "")
+    rows = {row["name"]: row for row in json.loads(out)["result"]["radii"]}
+    assert 0.0 < rows["wang-zhao-l1"]["value"] < 0.279
+
+
 def test_radii_rejects_bad_arguments(capsys):
     assert run_cli(capsys, "radii", "--n", "1", "--p", "inf")[0] == 1
     assert run_cli(capsys, "radii", "--n", "4", "--p", "0.5")[0] == 1

@@ -9,6 +9,7 @@ import weierstrass.operator
 from conftest import random_distinct_points
 from weierstrass import (
     ConvergenceFailure,
+    NonFiniteValue,
     NoSignChange,
     bisect,
     match_roots,
@@ -49,6 +50,21 @@ def test_bisect_refuses_a_nan_at_an_end_of_the_bracket(f):
     # for a positive one and bisect the first f down to 1.5, where it has no
     # root.
     with pytest.raises(NoSignChange):
+        bisect(f, 0.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: -1.0 if x < 1.5 else (math.nan if x < 1.9 else 1.0),
+        lambda x: 1.0 if x < 1.5 else (math.nan if x < 1.9 else -1.0),
+    ],
+)
+def test_bisect_refuses_a_nan_inside_the_bracket(f):
+    # The ends change sign, but the first midpoint, 1.0, and the second, 1.5,
+    # straddle no root: f is NaN from 1.5 to 1.9. A NaN is neither below nor
+    # above zero, so it must not steer the bracket.
+    with pytest.raises(NonFiniteValue, match=r"f\(1\.5\) is nan"):
         bisect(f, 0.0, 2.0)
 
 
