@@ -303,12 +303,16 @@ def c_wangzhao_l1(n: int) -> float:
         raise DomainViolation(f"this constant is defined for n >= 4, got {n}")
 
     def series(x: float) -> tuple[float, float]:
-        """(f_n(x), f_n'(x)), with x^(j+1) formed as x^j x."""
+        """(f_n(x), f_n'(x)), with x^(j+1) formed as x^j x. From j = 171 on,
+        j! is inf and every term +0.0, so at most 170 terms are summed; past
+        n = 647 summing on would meet 0 * inf = NaN where 3^j overflows."""
         value = slope = 0.0
         factorial = 1.0
         power = 1.0
         for j in range(1, n):
             factorial *= j
+            if factorial == math.inf:  # j > 170: every later term is +0.0
+                break
             power *= x
             value += (n - j) / (factorial * n) * (power * x)
             slope += (n - j) * (j + 1) / (factorial * n) * power

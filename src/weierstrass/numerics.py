@@ -7,7 +7,7 @@ import math
 from operator import add
 from typing import Callable, Sequence
 
-from .errors import ConvergenceFailure, NoSignChange
+from .errors import ConvergenceFailure, NonFiniteValue, NoSignChange
 from .operator import _MIN_NORMAL, NormIndex, NormLike, _moduli, as_norm, p_norm
 
 #: Bracket width at which bisect stops, and the steps it takes before it
@@ -23,7 +23,7 @@ _NODE_BUDGET = 4_000
 
 def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Bisection root of f on [lo, hi], to a bracket width of 1e-12; requires a
-    sign change on the bracket."""
+    sign change on the bracket, and raises NonFiniteValue at a NaN inside it."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     flo, fhi = f(lo), f(hi)
@@ -33,15 +33,18 @@ def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
         return hi
     if not (flo < 0.0 < fhi or fhi < 0.0 < flo):  # a NaN end fails both
         raise NoSignChange(f"f({lo}) = {flo:.3g} and f({hi}) = {fhi:.3g} do not change sign")
+    rise = 1.0 if flo < 0.0 else -1.0  # rise * f is negative at lo, positive at hi
     for _ in range(_STEP_CAP):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
+        fm = rise * f(mid)
+        if fm < 0.0:
+            lo = mid
+        elif fm > 0.0:
             hi = mid
+        elif fm == 0.0:
+            return mid
+        else:
+            raise NonFiniteValue(f"f({mid}) is nan")
         if hi - lo <= _WIDTH:
             return 0.5 * (lo + hi)
     raise ConvergenceFailure(f"bisection did not reach width {_WIDTH} in {_STEP_CAP} iterations")
