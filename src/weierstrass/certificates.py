@@ -311,7 +311,7 @@ def c_wangzhao_l1(n: int) -> float:
         power = 1.0
         for j in range(1, n):
             factorial *= j
-            if factorial == math.inf:  # j > 170: every later term is +0.0
+            if factorial == math.inf:
                 break
             power *= x
             value += (n - j) / (factorial * n) * (power * x)

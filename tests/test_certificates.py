@@ -362,20 +362,15 @@ def test_wang_zhao_inf_rejects_an_inaccurate_stationary_point(monkeypatch):
 def test_wang_zhao_l1_constants():
     assert c_wangzhao_l1(4) == pytest.approx(0.279, abs=1e-3)
     assert c_wangzhao_l1(4) == pytest.approx(0.2790095463060578, abs=1e-6)
-    values = [c_wangzhao_l1(n) for n in range(4, 52)]
-    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-    assert all(v <= 0.3 for v in values)
-    with pytest.raises(DomainViolation):
-        c_wangzhao_l1(3)
-
-
-def test_wang_zhao_l1_past_the_overflow_of_its_series():
     # j! overflows at j = 171 and 3^j at j = 647, where a term of the slope
     # at the bracket's end 3 was 0 * inf = NaN. From j = 171 on every term
     # is +0.0, so the series stops there: n = 648 and n = 10^9 are solved,
     # the latter in the time of n = 171, and C(n) keeps falling across 647.
-    values = [c_wangzhao_l1(n) for n in (170, 171, 646, 647, 648, 649, 10**9)]
-    assert all(0.0 < b <= a for a, b in zip(values, values[1:])), values
+    values = [c_wangzhao_l1(n) for n in (*range(4, 52), 170, 171, 646, 647, 648, 649, 10**9)]
+    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), values
+    assert all(0.0 < v <= 0.3 for v in values)
+    with pytest.raises(DomainViolation):
+        c_wangzhao_l1(3)
 
 
 # A frozen copy of the sum-norm constant as it was computed before the slope
