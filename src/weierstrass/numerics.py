@@ -16,9 +16,6 @@ _WIDTH = 1e-12
 _STEP_CAP = 200
 #: Largest n that match_roots solves by lexicographic search.
 _EXHAUSTIVE_LIMIT = 8
-#: Nodes (the root, partial and complete permutations) that match_roots'
-#: pruned search visits at p = 1 before it scores all n! permutations.
-_NODE_BUDGET = 4_000
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -58,21 +55,22 @@ def match_roots(
     Returns (perm, error) where perm[i] is the index of the true root assigned
     to computed[i]. n and p alone choose the algorithm. Up to 8 points the
     first minimal permutation in lexicographic order wins, scored from the
-    table of moduli |computed[i] - truth[j]| (and their p-th powers) summed in
-    index order, bit-identical to p_norm of that permutation's differences:
-    where p_norm would rescale, the score calls it. At p = 1 and p = inf a
+    table of moduli |computed[i] - truth[j]|. At p = 1 and p = inf a
     depth-first search that prunes by the best score found
     (`_least_permutation`) gives the same result as scoring all n!
-    permutations, bit for bit: at n = 8 it visits 9 nodes when computed point
-    i is nearest truth i. At p = 1 its prune keeps a relative margin for the
-    rounding of sum(), and after 4,000 nodes (exact ties; a full tree at
-    n = 8 has 109,601) it scores all n!, as other p always do. Beyond 8
-    points the assignment is still exact: threshold bipartite matching gives
-    the least largest distance t*, which is the answer for p = inf, and for
-    finite p shortest augmenting paths minimize the sum of (d / t*)^p, which
-    can neither overflow nor all underflow to zero. On both paths no pairing
-    goes through a NaN distance (equal infinities or a NaN coordinate); when
-    every pairing does, the identity is returned with a NaN error.
+    permutations, bit for bit. At n = 8 it visits 9 nodes when computed
+    point i is nearest truth i, and all 109,601 nodes of its tree on exact
+    ties at p = 1, where its prune keeps a relative margin for the rounding
+    of sum(). At other p all n! are scored (`_scored_permutation`) from the
+    p-th powers of the moduli summed in index order, bit-identical to p_norm
+    of each permutation's differences: where p_norm would rescale, the score
+    calls it. Beyond 8 points the assignment is still exact: threshold
+    bipartite matching gives the least largest distance t*, which is the
+    answer for p = inf, and for finite p shortest augmenting paths minimize
+    the sum of (d / t*)^p, which can neither overflow nor all underflow to
+    zero. On both paths no pairing goes through a NaN distance (equal
+    infinities or a NaN coordinate); when every pairing does, the identity is
+    returned with a NaN error.
     """
     a = [complex(c) for c in computed]
     b = [complex(c) for c in truth]
@@ -89,44 +87,18 @@ def match_roots(
         if perm is not None and not math.isinf(norm.p):
             perm = _min_power_sum_assignment(dist, perm, norm.p)
     elif norm.p == 1 or math.isinf(norm.p):
-        perm = _least_permutation(dist, norm.p, _table_score(a, b, dist, norm))
+        perm = _least_permutation(dist, norm.p)
     else:
-        perm = _scored_permutation(dist, _table_score(a, b, dist, norm))
+        perm = _scored_permutation(a, b, dist, norm)
     if perm is None:
         return tuple(range(n)), math.nan
     return tuple(perm), p_norm([a[i] - b[perm[i]] for i in range(n)], norm)
 
 
-def _table_score(
-    a: list[complex], b: list[complex], dist: list[list[float]], norm: NormIndex
-) -> Callable[[Sequence[int]], float]:
-    """Return perm -> p_norm([a[i] - b[perm[i]] for i], norm), read from
-    dist[i][j] = abs(a[i] - b[j]) with the same terms in the same order."""
-    pick = list.__getitem__
-    if norm.p == 1:
-        return lambda perm: sum(map(pick, dist, perm))
-    if math.isinf(norm.p):
-        return lambda perm: max(map(pick, dist, perm))
-    q = norm.p
-    inv_q = 1.0 / q
-    powers = [[_power_or_inf(d, q) for d in row] for row in dist]
-
-    def score(perm: Sequence[int]) -> float:
-        total = sum(map(pick, powers, perm))
-        if _MIN_NORMAL <= total < math.inf:
-            return total ** inv_q
-        # Zero, subnormal, overflowed or NaN: p_norm rescales or decides.
-        return p_norm([a[i] - b[j] for i, j in enumerate(perm)], norm)
-
-    return score
-
-
-def _least_permutation(
-    dist: list[list[float]], p: float, score: Callable[[Sequence[int]], float]
-) -> Sequence[int] | None:
-    """The first permutation in lexicographic order with the least score(perm),
-    the sum (p = 1) or the largest (p = inf) of its entries dist[i][perm[i]],
-    among those that avoid NaN entries; None when every one meets one.
+def _least_permutation(dist: list[list[float]], p: float) -> list[int] | None:
+    """The first permutation in lexicographic order with the least sum in row
+    order (p = 1) or largest (p = inf) of its entries dist[i][perm[i]], among
+    those that avoid NaN entries; None when every one meets one.
 
     Rows are filled depth-first in order, each with its unused columns in
     ascending order; a completed permutation replaces the best only when its
@@ -138,13 +110,12 @@ def _least_permutation(
     within about (k - 1) * 2^-53 relative of its exact value, so at p = 1
     the bound's terms are scaled by shrink = 1 - (n + 1) * 2^-51 and no
     dropped branch holds a smaller score. Exact ties (all computed or all
-    true points equal) prune nothing: after _NODE_BUDGET nodes p = 1 scores
-    all n! permutations instead.
+    true points equal) prune nothing at p = 1, and the search walks the
+    whole tree: 109,601 nodes at n = 8.
     """
     n = len(dist)
     summing = p == 1
     whole, join, shrink = (sum, add, 1.0 - (n + 1) * 2.0**-51) if summing else (max, max, 1.0)
-    budget = _NODE_BUDGET if summing else math.inf
     lows = []
     for line in (*dist, *zip(*dist)):
         usable = [d for d in line if d == d]
@@ -154,22 +125,19 @@ def _least_permutation(
     floor = max(whole(lows[:n]), whole(lows[n:]))
     rest = list(itertools.accumulate(lows[n - 1 : 0 : -1], join, initial=0.0))[::-1]
     rows = [[(j, d) for j, d in enumerate(row) if d == d] for row in dist]
+    pick = list.__getitem__
     used, perm = [False] * n, [0] * n
     best: list[int] | None = None
     best_score = math.nan  # no permutation yet: every comparison with it is False
-    nodes = 0
 
     def extend(i: int, running: float) -> bool:
         """Fill rows i.. from the running total; True once the search is done."""
-        nonlocal best, best_score, nodes
-        nodes += 1
+        nonlocal best, best_score
         if i == n:
-            total = score(perm)
+            total = whole(map(pick, dist, perm))
             if not total >= best_score:
                 best, best_score = perm.copy(), total
             return best_score <= floor
-        if nodes > budget:
-            return True
         below = rest[i]
         for j, d in rows[i]:
             if used[j]:
@@ -190,14 +158,31 @@ def _least_permutation(
         return False
 
     extend(0, 0.0)
-    return _scored_permutation(dist, score) if nodes > budget else best
+    return best
 
 
 def _scored_permutation(
-    dist: list[list[float]], score: Callable[[Sequence[int]], float]
+    a: list[complex], b: list[complex], dist: list[list[float]], norm: NormIndex
 ) -> tuple[int, ...] | None:
-    """The first permutation in lexicographic order with the least score among
-    all n! that avoid NaN entries of dist, or None when none does."""
+    """The first permutation in lexicographic order with the least
+    p_norm([a[i] - b[perm[i]] for i], norm) among all n! that avoid NaN
+    entries of dist, or None when none does.
+
+    Each score is read from the p-th powers of dist[i][j] = abs(a[i] - b[j]),
+    summed in index order: the terms p_norm sums, in its order. Where the
+    total is zero, subnormal, overflowed or NaN, p_norm rescales or decides.
+    """
+    q = norm.p
+    inv_q = 1.0 / q
+    powers = [[_power_or_inf(d, q) for d in row] for row in dist]
+    pick = list.__getitem__
+
+    def score(perm: Sequence[int]) -> float:
+        total = sum(map(pick, powers, perm))
+        if _MIN_NORMAL <= total < math.inf:
+            return total ** inv_q
+        return p_norm([a[i] - b[j] for i, j in enumerate(perm)], norm)
+
     perms = itertools.permutations(range(len(dist)))
     if any(d != d for row in dist for d in row):
         perms = (s for s in perms if all(dist[i][j] == dist[i][j] for i, j in enumerate(s)))

@@ -328,70 +328,36 @@ def test_exhaustive_search_is_bit_identical_to_reference_at_n8(shape, p):
     _assert_matches_reference(computed, truth, p)
 
 
-def test_match_roots_at_p_inf_enumerates_no_permutations(monkeypatch):
-    # Up to n = 8, p = inf is a pruned search over the table of
-    # moduli, not a score of every permutation.
+# Inputs on which the p = 1 search goes far. Every computed point equal, or
+# every true point: all totals tie in exact arithmetic, rounding picks the
+# winner, no prune fires and the search walks its whole tree, 109,601 nodes
+# at n = 8. And an independent random cloud that needs 10,545 nodes.
+FAR_SEARCHES = (
+    ("equal", "match-tie-equal"),
+    ("equal_truth", "match-tie-equal_truth"),
+    ("cloud", "match-budget-6"),
+)
+
+
+@pytest.mark.parametrize("p, seed, draws", [(1, "match-one", 3), (math.inf, "match-inf", 1)])
+def test_match_roots_at_p1_and_p_inf_enumerates_no_permutations(monkeypatch, p, seed, draws):
+    # Up to n = 8, p = 1 and p = inf are a pruned search over the table of
+    # moduli, not a score of every permutation, and it keeps the reference's
+    # permutation and error where it prunes little or nothing.
+    far = [MATCH_SHAPES[shape](random.Random(s), 8) for shape, s in FAR_SEARCHES]
+    want = [_outcome(_reference_match, computed, truth, p) for computed, truth in far]
+
     def refuse(*args):
-        raise AssertionError("itertools.permutations called at p = inf")
+        raise AssertionError(f"itertools.permutations called at p = {p}")
 
     monkeypatch.setattr(itertools, "permutations", refuse)
+    assert [_outcome(match_roots, computed, truth, p) for computed, truth in far] == want
     for shape in sorted(MATCH_SHAPES):
-        rng = random.Random(f"match-inf-{shape}")
+        rng = random.Random(f"{seed}-{shape}")
         for n in range(1, 9):
-            perm, _ = match_roots(*MATCH_SHAPES[shape](rng, n), math.inf)
-            assert sorted(perm) == list(range(n))
-
-
-# Computed points near distinct true points, the matcher's use: at n = 8,
-# 300 inputs of each took at most 3,353 search nodes at p = 1.
-NEAR_MATCHES = ("near", "repeated", "reversed", "tiny")
-
-
-def _counting_permutations(monkeypatch):
-    calls = []
-    permutations = itertools.permutations
-
-    def counted(*args):
-        calls.append(args)
-        return permutations(*args)
-
-    monkeypatch.setattr(itertools, "permutations", counted)
-    return calls
-
-
-def test_match_roots_at_p1_enumerates_no_permutations_for_near_matches(monkeypatch):
-    # Up to n = 8, p = 1 is a pruned search over the table of
-    # moduli, not a score of every permutation.
-    calls = _counting_permutations(monkeypatch)
-    for shape in NEAR_MATCHES:
-        rng = random.Random(f"match-one-{shape}")
-        for n in range(1, 9):
-            for _ in range(3):
-                perm, _ = match_roots(*MATCH_SHAPES[shape](rng, n), 1)
+            for _ in range(draws):
+                perm, _ = match_roots(*MATCH_SHAPES[shape](rng, n), p)
                 assert sorted(perm) == list(range(n))
-    assert calls == []
-
-
-@pytest.mark.parametrize(
-    "shape, seed",
-    [
-        # Every computed point equal, or every true point: all totals tie in
-        # exact arithmetic, rounding picks the winner and no prune can fire.
-        ("equal", "match-tie-equal"),
-        ("equal_truth", "match-tie-equal_truth"),
-        # An independent random cloud that needs 10,545 nodes; 27 of 300
-        # such clouds at n = 8 needed more than the budget.
-        ("cloud", "match-budget-6"),
-    ],
-)
-def test_match_roots_at_p1_past_the_node_budget_scores_every_permutation(
-    monkeypatch, shape, seed
-):
-    computed, truth = MATCH_SHAPES[shape](random.Random(seed), 8)
-    want = _outcome(_reference_match, computed, truth, 1)
-    calls = _counting_permutations(monkeypatch)
-    assert _outcome(match_roots, computed, truth, 1) == want
-    assert calls == [(range(8),)]
 
 
 def _compensated_sum(iterable, start=0):
