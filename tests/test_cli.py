@@ -208,6 +208,14 @@ def test_invalid_documents_exit_one(tmp_path, capsys, doc):
     assert err
 
 
+def test_coefficients_that_overflow_when_divided_by_leading_are_an_input_error(tmp_path, capsys):
+    doc = {"coefficients": [1e308, 1], "leading": 1e-10, "initial": [[1, 1], [-1, 0.5]]}
+    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: coefficient 0 divided by leading (1e-10+0j) is ")
+    assert err.count("\n") == 1
+
+
 LONG_LIST = list(range(50_000))
 LONG_TEXT = "x" * 100_000
 

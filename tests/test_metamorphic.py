@@ -3,12 +3,16 @@ must give outputs related in the same way, on any input.
 
 - Conjugation. IEEE complex +, -, *, / and abs commute with conjugation, so
   conjugating the roots and the start conjugates every iterate and leaves
-  every real quantity bit-identical.
+  every real quantity bit-identical. The same holds for coefficients; the
+  zeros of z^n - c conjugate to 0 - 0j, which Horner does not skip, so this
+  relation compares the skip with plain Horner.
 - Scaling by 2^k. Multiplying by a power of two is exact while every
   intermediate stays normal, and E(z) is scale-free, so every iterate scales
   exactly and E, the step count and the stop reason are unchanged. Scales
   that leave the normal range are outside this module. The same holds for
   match_roots: the pairing is unchanged and the error scales exactly.
+  Given by coefficients, the coefficient of z^j scales by s^(n - j), and
+  every Horner step scales exactly with it.
 - Permutation. Permuting the coordinates of the roots and the start
   reorders the products and sums behind E, so E moves in its last bits
   within a stated ulp budget, while the verdicts, the stop and the matched
@@ -19,6 +23,7 @@ must give outputs related in the same way, on any input.
 """
 
 import cmath
+import functools
 import math
 import random
 
@@ -50,6 +55,45 @@ def _problems(name, count):
 
 def _run(roots, z0, opts):
     return run_sor(Polynomial.from_roots(roots), z0, opts)
+
+
+def _expand(roots):
+    """c[0] .. c[n-1] of prod_i (z - r_i), in complex arithmetic."""
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0j] + coeffs, coeffs + [0j])]
+    return coeffs[:-1]
+
+
+def _coefficient_problems():
+    """z^n - c at n = 10, 50, 100 with c on the unit circle, and two dense
+    sets expanded from roots in the unit disk; each start is 0.3 of the root
+    spacing off each root. Every mode and p is used, with few iterations."""
+    rng = random.Random("metamorphic-coefficients")
+    for i, (shape, n) in enumerate(
+        [("binomial", 10), ("binomial", 50), ("binomial", 100), ("dense", 8), ("dense", 30)]
+    ):
+        if shape == "binomial":
+            phi = rng.random()
+            roots = [cmath.exp(2j * math.pi * (phi + k) / n) for k in range(n)]
+            coeffs = [-cmath.exp(2j * math.pi * phi)] + [0j] * (n - 1)
+            spacing = 2 * math.sin(math.pi / n)
+        else:
+            roots = random_distinct_points(rng, n, min_sep=0.1)
+            coeffs = _expand(roots)
+            spacing = 0.1
+        z0 = [r + 0.3 * spacing * cmath.exp(2j * math.pi * rng.random()) for r in roots]
+        opts = SolverOptions(p=NormIndex(PS[i % 3]), mode=MODES[i % 4], h=0.7, max_iter=12)
+        yield f"{shape}-{n}", coeffs, z0, opts
+
+
+COEFFICIENT_PROBLEMS = list(_coefficient_problems())
+
+
+@functools.cache
+def _coefficient_trace(index):
+    _, coeffs, z0, opts = COEFFICIENT_PROBLEMS[index]
+    return run_sor(Polynomial.from_coefficients(coeffs), z0, opts)
 
 
 def _hex(x):
@@ -85,6 +129,41 @@ def test_conjugating_roots_and_start_conjugates_the_run():
                 [z.conjugate() for z in trace.final], [r.conjugate() for r in roots], p
             )
             assert mirrored == (perm, err) and mirrored[1].hex() == err.hex()
+
+
+@pytest.mark.parametrize(
+    "index", range(len(COEFFICIENT_PROBLEMS)), ids=[c[0] for c in COEFFICIENT_PROBLEMS]
+)
+def test_conjugating_coefficients_and_start_conjugates_the_run(index):
+    # The zeros of z^n - c conjugate to 0 - 0j, so the mirror keeps every
+    # Horner step while the original multiplies straight through its run:
+    # the relation checks the skip against plain Horner on every iterate.
+    name, coeffs, z0, opts = COEFFICIENT_PROBLEMS[index]
+    poly = Polynomial.from_coefficients(coeffs)
+    mirror_poly = Polynomial.from_coefficients([c.conjugate() for c in coeffs])
+    skips = [sum(len(zeros) for zeros, _ in p._segments) for p in (poly, mirror_poly)]
+    assert skips == ([len(coeffs) - 2, 0] if name.startswith("binomial") else [0, 0])
+    trace = _coefficient_trace(index)
+    mirror = run_sor(mirror_poly, [z.conjugate() for z in z0], opts)
+    assert _real_fields(mirror) == _real_fields(trace), name
+    for got, want in zip(mirror.records, trace.records):
+        assert got.z == tuple(z.conjugate() for z in want.z), name
+    assert mirror.final == tuple(z.conjugate() for z in trace.final)
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_scaling_coefficients_and_start_by_a_power_of_two_scales_every_iterate(k):
+    s = 2.0**k
+    for index, (name, coeffs, z0, opts) in enumerate(COEFFICIENT_PROBLEMS):
+        n = len(coeffs)
+        trace = _coefficient_trace(index)
+        poly = Polynomial.from_coefficients([c * s ** (n - j) for j, c in enumerate(coeffs)])
+        scaled = run_sor(poly, [s * z for z in z0], opts)
+        assert (scaled.steps, scaled.stop_reason) == (trace.steps, trace.stop_reason), name
+        assert [r.e.hex() for r in scaled.records] == [r.e.hex() for r in trace.records], name
+        for got, want in zip(scaled.records, trace.records):
+            assert got.z == tuple(s * z for z in want.z), (k, name)
+        assert scaled.final == tuple(s * z for z in trace.final)
 
 
 @pytest.mark.parametrize("k", range(-4, 5))

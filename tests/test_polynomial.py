@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from weierstrass import (
     DegreeTooLarge,
     DegreeTooSmall,
     DuplicateRoots,
+    NonFiniteValue,
     Polynomial,
     ZeroLeadingCoefficient,
 )
@@ -30,6 +33,31 @@ def test_from_coefficients_rejects_degree_one():
 def test_from_coefficients_rejects_zero_leading():
     with pytest.raises(ZeroLeadingCoefficient):
         Polynomial.from_coefficients([1, 2], leading=0)
+
+
+@pytest.mark.parametrize(
+    "coeffs, leading, index",
+    [
+        ([1e308, 1], 1e-10, 0),
+        ([1e308, 1], 1e-320, 0),
+        ([1, 1e300], 1e-10, 1),
+        ([1, 2], complex(math.inf, math.inf), 0),
+        ([1, 2], complex(math.nan, 1), 0),
+    ],
+    ids=["overflow", "subnormal-leading", "second-entry", "inf-leading", "nan-leading"],
+)
+def test_from_coefficients_rejects_a_non_finite_quotient_of_finite_input(coeffs, leading, index):
+    with pytest.raises(NonFiniteValue, match=rf"^coefficient {index} divided by leading .* is "):
+        Polynomial.from_coefficients(coeffs, leading)
+
+
+def test_from_coefficients_passes_on_non_finite_values_given_directly():
+    # Only a quotient of finite input is checked; inf / 2 is inf + nan j.
+    inf, nan = math.inf, math.nan
+    assert cmath.isinf(Polynomial.from_coefficients([inf, 1], 2).coeffs[0])
+    assert cmath.isnan(Polynomial.from_coefficients([1, nan], 2).coeffs[1])
+    assert cmath.isnan(Polynomial.from_coefficients([nan, 1]).coeffs[0])
+    assert Polynomial.from_coefficients([1e308, 1]).coeffs == (1e308 + 0j, 1 + 0j)
 
 
 def test_from_roots_difference_of_squares():
@@ -167,3 +195,110 @@ def test_from_roots_permutation_invariant():
             x = random_unit_disk(rng, radius=2.0)
             lhs, rhs = reference.evaluate(x), other.evaluate(x)
             assert abs(lhs - rhs) <= 8 * n * u * abs(lhs)
+
+
+def _plain_horner(coeffs, x):
+    """One step acc * x + c per coefficient: the reference the segments must match."""
+    acc = 1 + 0j
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _bits(z):
+    """Both parts as hex, with every NaN alike."""
+    return tuple("nan" if math.isnan(part) else part.hex() for part in (z.real, z.imag))
+
+
+def _skipped(poly):
+    """How many of the Horner steps run as a bare acc * x."""
+    return sum(len(zeros) for zeros, _ in poly._segments)
+
+
+_SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+_EDGE_PARTS = (0.0, -0.0, 5e-324, -1e-310, 1e-200, 1.0, -0.75, 1e200, -math.inf, math.inf, math.nan)
+_EDGE_X = tuple(complex(a, b) for a in _EDGE_PARTS for b in _EDGE_PARTS)
+
+
+def _assert_horner_bits(poly, rng):
+    for x in _EDGE_X + tuple(random_unit_disk(rng, radius=1.5) for _ in range(40)):
+        assert _bits(poly.evaluate(x)) == _bits(_plain_horner(poly.coeffs, x)), (poly.coeffs, x)
+
+
+@pytest.mark.parametrize(
+    "n, start, length, last, skipped",
+    [
+        (30, 10, 7, 0j, 0),
+        (30, 10, 8, 0j, 7),
+        (30, 10, 9, 0j, 8),
+        (100, 1, 99, 0j, 98),
+        (30, 22, 8, 0j, 7),
+        (30, 0, 9, 0j, 8),
+        (100, 0, 99, 0j, 98),
+        (30, 0, 9, complex(-0.0, 0.0), 0),
+        (30, 0, 9, complex(0.0, -0.0), 0),
+    ],
+    ids=[
+        "run-7",
+        "run-8",
+        "run-9",
+        "leading-run-99",
+        "leading-run-8",
+        "trailing-run-9",
+        "trailing-run-99",
+        "ends-in-minus-0-real",
+        "ends-in-minus-0-imag",
+    ],
+)
+def test_horner_segments_match_plain_horner_bit_for_bit(n, start, length, last, skipped):
+    # c[start .. start + length - 1] is the run; c[start] is its last member
+    # in Horner order and decides the skip. Its other members take every
+    # sign of zero, which the skip may ignore. A zero sign shows in the value
+    # only if no later step adds a nonzero part, so the runs ending in a
+    # signed zero are trailing ones.
+    rng = random.Random(f"segments-{n}-{start}-{length}-{last!r}")
+    for _ in range(4):
+        coeffs = [random_unit_disk(rng) for _ in range(n)]
+        run = [last] + [rng.choice(_SIGNED_ZEROS) for _ in range(length - 1)]
+        coeffs[start : start + length] = run
+        poly = Polynomial(coeffs=coeffs)
+        assert _skipped(poly) == skipped
+        _assert_horner_bits(poly, rng)
+
+
+@pytest.mark.parametrize("shape", ["dense", "parity", "leading-minus-2"])
+def test_polynomials_without_a_skip_match_plain_horner_bit_for_bit(shape):
+    # Zeros divided by a negative leading coefficient are -0 - 0j, so even
+    # z^n - c given with leading -2 keeps every step.
+    rng = random.Random(f"segments-{shape}")
+    for _ in range(6):
+        n = rng.randint(2, 100)
+        coeffs = [random_unit_disk(rng) for _ in range(n)]
+        if shape == "parity":
+            coeffs = [c if k % 2 else 0j for k, c in enumerate(coeffs)]
+        if shape == "leading-minus-2":
+            coeffs = coeffs[:1] + [0j] * (n - 1)
+        poly = Polynomial.from_coefficients(coeffs, -2 if shape == "leading-minus-2" else 1)
+        assert _skipped(poly) == 0
+        _assert_horner_bits(poly, rng)
+
+
+def test_sparse_random_coefficients_match_plain_horner_bit_for_bit():
+    # Three in four coefficients are zeros of any sign, so runs of every
+    # length end in every sign. Half the sets are real, so that zero parts,
+    # and their signs, last to the end.
+    rng = random.Random("segments-sparse")
+    skips = 0
+    for i in range(200):
+        n = rng.randint(2, 100)
+        coeffs = [
+            rng.choice(_SIGNED_ZEROS + (0j,) * 4) if rng.random() < 0.75 else random_unit_disk(rng)
+            for _ in range(n)
+        ]
+        if i % 2:
+            coeffs = [complex(c.real, 0.0) if c else c for c in coeffs]
+        poly = Polynomial(coeffs=coeffs)
+        skips += _skipped(poly) > 0
+        for x in rng.sample(_EDGE_X, 10) + [random_unit_disk(rng, radius=1.5) for _ in range(5)]:
+            assert _bits(poly.evaluate(x)) == _bits(_plain_horner(poly.coeffs, x)), (coeffs, x)
+    assert skips >= 50
