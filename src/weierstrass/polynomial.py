@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import groupby
-from math import copysign
+from itertools import groupby, repeat
+from math import copysign, prod
 from typing import Sequence
 
 from .errors import (
@@ -21,15 +21,15 @@ from .errors import (
 DEFAULT_MAX_DEGREE = 100
 
 #: Shortest run of zero coefficients that Horner multiplies straight through.
-#: The break-even is near runs of 4 (ROADMAP item 1); 8 keeps a margin.
+#: The break-even is near runs of 7 (ROADMAP item 1); 8 sits above it.
 _ZERO_RUN = 8
 
 
 def _horner_segments(coeffs: tuple[complex, ...]) -> tuple[tuple[range, tuple[complex, ...]], ...]:
     """Horner's steps over `coeffs` as (zeros, dense) segments, leading end first.
 
-    A segment takes a bare acc * x per member of `zeros`, a stored range, so
-    no range is built per call; then acc * x + c per c in `dense`.
+    A segment takes a bare acc * x per member of `zeros`, a stored range,
+    all in one math.prod call; then acc * x + c per c in `dense`.
     A run of at least _ZERO_RUN zero coefficients whose lowest-degree member
     is exactly +0j goes to `zeros`, all but that member, which stays a step
     of `dense`; a polynomial without such a run is one segment. This is
@@ -128,7 +128,9 @@ class Polynomial:
         """prod_i (x - r_i) if roots are held (relative error O(n u)), else Horner.
 
         Horner runs over `_horner_segments`, bit-identical to one step
-        acc * x + c per coefficient.
+        acc * x + c per coefficient. A zero run is math.prod over k copies of
+        x with acc as its start: a complex start bypasses prod's int and
+        float paths, so it is k complex products, left to right, as a loop.
         """
         acc = 1 + 0j
         if self.roots:
@@ -136,8 +138,8 @@ class Polynomial:
                 acc *= x - r
             return acc
         for zeros, dense in self._segments:
-            for _ in zeros:
-                acc *= x
+            if zeros:
+                acc = prod(repeat(x, len(zeros)), start=acc)
             for c in dense:
                 acc = acc * x + c
         return acc

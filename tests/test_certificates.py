@@ -166,6 +166,17 @@ def test_certificate_agrees_with_radius_formulation():
         assert cert.satisfied == (e <= radius)
 
 
+@pytest.mark.parametrize(
+    "lam, satisfied", [(1.0, True), (math.nextafter(1.0, 2.0), False)], ids=["one", "above-one"]
+)
+def test_certificate_at_a_majorant_of_exactly_one(monkeypatch, lam, satisfied):
+    # The theorem holds at lam <= 1. No float E near the radius gives a
+    # majorant of exactly 1.0, so the majorant is replaced to reach the edge.
+    monkeypatch.setattr(weierstrass.certificates, "majorant", lambda e, n, p: lam)
+    cert = certificate_from_quantity(0.1, 5, 2)
+    assert (cert.lam, cert.satisfied, cert.strict) == (lam, satisfied, False)
+
+
 @pytest.mark.parametrize("where", ["edge", "above-edge", "one", "inf", "nan"])
 @pytest.mark.parametrize("p", [1, 2, math.inf])
 def test_certificate_outside_the_majorant_domain(p, where):

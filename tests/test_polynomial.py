@@ -302,3 +302,25 @@ def test_sparse_random_coefficients_match_plain_horner_bit_for_bit():
         for x in rng.sample(_EDGE_X, 10) + [random_unit_disk(rng, radius=1.5) for _ in range(5)]:
             assert _bits(poly.evaluate(x)) == _bits(_plain_horner(poly.coeffs, x)), (coeffs, x)
     assert skips >= 50
+
+
+_MODULI = (10.0, 1e4, 0.1, 1e-4)
+_ONE_SPECIAL_PART = tuple(
+    z
+    for special in (math.nan, math.inf, -math.inf)
+    for m in _MODULI
+    for z in (complex(special, m), complex(m, special), complex(special, -m), complex(-m, special))
+)
+
+
+@pytest.mark.parametrize("n", [9, 50, 100])
+def test_zero_runs_overflow_and_underflow_mid_run_like_plain_horner(n):
+    # _EDGE_X starts at 1e200 or 5e-324. Here |x|^k passes 1e308 part-way
+    # through the run of z^100 - c at modulus 1e4 and falls through the
+    # subnormals at 1e-4, with one part ahead of the other off the axes.
+    c = cmath.exp(0.3j)
+    poly = Polynomial.from_coefficients([-c] + [0j] * (n - 1))
+    assert _skipped(poly) == n - 2
+    points = [m * cmath.exp(2j * math.pi * k / 8) for m in _MODULI for k in range(8)]
+    for x in points + list(_ONE_SPECIAL_PART):
+        assert _bits(poly.evaluate(x)) == _bits(_plain_horner(poly.coeffs, x)), x

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -315,6 +316,84 @@ def test_every_reported_bound_holds_on_converged_corpus_runs(corpus):
                 failures.append((i, k, inst.errors[k] / bound))
     worst = max(failures, key=lambda f: f[2], default=None)
     assert not failures, f"{len(failures)} of {checks} bounds below the error, worst {worst}"
+
+
+def _gaussian(w):
+    """Integers x, y and a power of two s with w = (x + iy) / s exactly."""
+    (a, d), (b, e) = w.real.as_integer_ratio(), w.imag.as_integer_ratio()
+    s = max(d, e)
+    return a * (s // d), b * (s // e), s
+
+
+def _exact_distance_to_root(z, r, c, n):
+    """|z - t| and |r - t|, where t is r moved by one Newton step on t^n = c,
+    taken in exact integer arithmetic. t is within about (n - 1)/2 |r - t|^2
+    of a root, so the step's length bounds the error of t."""
+    x, y, s = _gaussian(r)
+    px, py = 1, 0  # (x + iy)^(n - 1), by repeated squaring
+    sx, sy, k = x, y, n - 1
+    while k:
+        if k & 1:
+            px, py = px * sx - py * sy, px * sy + py * sx
+        sx, sy, k = sx * sx - sy * sy, 2 * sx * sy, k >> 1
+    qx, qy = px * x - py * y, px * y + py * x
+    cx, cy, u = _gaussian(c)
+    # r - t = (r^n - c) / (n r^(n-1)) = (q u - c s^n) * conj(p) / (s u n |p|^2)
+    nx, ny = qx * u - cx * s**n, qy * u - cy * s**n
+    gx, gy = nx * px + ny * py, ny * px - nx * py
+    den = s * u * n * (px * px + py * py)
+    # z - t = z - r + (r - t), over the denominator v den
+    zx, zy, v = _gaussian(z)
+    ex = zx * den - x * (den // s) * v + gx * v
+    ey = zy * den - y * (den // s) * v + gy * v
+    return math.hypot(ex / (v * den), ey / (v * den)), math.hypot(gx / den, gy / den)
+
+
+# ROADMAP item 9's coefficient tier and item 2b. Converged runs from
+# coefficients return points about half an ulp of 1 from the roots (4e-17 to
+# 8e-17), as close as doubles get, yet report bounds down to 1e-25: the bound
+# is computed from a W whose rounding floor it ignores. Fixing 2b makes every
+# case pass, and the xfail marker must then go.
+ITEM_2B = "ROADMAP 2b: the bound on a coefficient-given run ignores the rounding floor of f"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_2B)
+@pytest.mark.parametrize("n", [20, 50, 100])
+def test_bound_on_the_returned_point_holds_on_coefficient_given_binomials(n):
+    # z^n - c from its coefficients, |c| = 1, each start 0.3 of the root
+    # spacing off its root, p = inf, as in the solve-n100 benchmark. The
+    # record that covers the returned point is picked by stop_reason: a tol_e
+    # stop returns the last record's point, so the bound is the one before.
+    # The cmath.exp roots are up to 5 ulps off, more than these errors, so
+    # the truth is refined by one exact Newton step; the comparison allows
+    # its remainder as n |step|^2, and hypot's rounding as 2^-50 relative.
+    rng = random.Random(f"coefficient-tier-{n}")
+    spacing = 2.0 * math.sin(math.pi / n)
+    checked, failures = 0, []
+    for run in range(16):
+        phi = rng.random()
+        c = cmath.exp(2j * math.pi * phi)
+        roots = [cmath.exp(2j * math.pi * (phi + k) / n) for k in range(n)]
+        z0 = [r + 0.3 * spacing * cmath.exp(2j * math.pi * rng.random()) for r in roots]
+        poly = Polynomial.from_coefficients([-c] + [0j] * (n - 1))
+        trace = run_sor(poly, z0, SolverOptions(p=NormIndex(math.inf)))
+        if not trace.converged:
+            continue
+        records = trace.records if trace.stop_reason == "tol_step" else trace.records[:-1]
+        if not records or records[-1].apost_bound is None:
+            continue
+        bound = records[-1].apost_bound
+        error, slack = 0.0, 0.0
+        for z in trace.final:
+            r = min(roots, key=lambda root: abs(z - root))
+            distance, step = _exact_distance_to_root(z, r, -poly.coeffs[0], n)
+            error, slack = max(error, distance), max(slack, n * step * step)
+        checked += 1
+        if error * (1 - 2.0**-50) > bound + slack:
+            failures.append((run, error, bound))
+    if checked < 8:  # not an AssertionError, so the xfail does not absorb it
+        pytest.fail(f"only {checked} of 16 runs converged with a bound")
+    assert not failures, f"{len(failures)} of {checked} bounds below the error: {failures[:3]}"
 
 
 def test_large_degree_root_given_runs_reach_the_given_roots():
