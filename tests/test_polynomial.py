@@ -315,9 +315,9 @@ _ONE_SPECIAL_PART = tuple(
 
 @pytest.mark.parametrize("n", [9, 50, 100])
 def test_zero_runs_overflow_and_underflow_mid_run_like_plain_horner(n):
-    # _EDGE_X starts at 1e200 or 5e-324. Here |x|^k passes 1e308 part-way
-    # through the run of z^100 - c at modulus 1e4 and falls through the
-    # subnormals at 1e-4, with one part ahead of the other off the axes.
+    # _EDGE_X jumps straight to 1e200 or 5e-324. Here |x|^k passes 1e308
+    # part-way through the run of z^100 - c at modulus 1e4 and falls through
+    # the subnormals at 1e-4, with one part ahead of the other off the axes.
     c = cmath.exp(0.3j)
     poly = Polynomial.from_coefficients([-c] + [0j] * (n - 1))
     assert _skipped(poly) == n - 2
