@@ -86,18 +86,19 @@ def _as_complex(value: Any, field: str, index: int | None = None) -> complex:
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {_brief(value)}")
 
 
-def _non_finite_path(value: Any) -> list | None:
-    """The keys and indices, innermost first, that lead from value to its
-    first NaN, infinity or integer too large for a double; None if it has
-    none. A list of numbers is tested in one pass; any other list, entry by
-    entry."""
+def _non_finite(value: Any) -> tuple[str, str] | None:
+    """(where, what) for the first NaN, infinity or integer too large for a
+    double in value; None if it has none. `where` leads from value to it by
+    ".key" and "[index]" steps. Both are built on the way out of the walk, so
+    a valid value builds no string. A list of numbers is tested in one pass;
+    any other list, entry by entry."""
     if type(value) is float:
-        return None if math.isfinite(value) else []
+        return None if math.isfinite(value) else ("", repr(value))
     if type(value) is int:
         try:
             float(value)
         except OverflowError:
-            return []
+            return "", "an integer beyond the double range"
         return None
     if isinstance(value, list):
         try:
@@ -105,34 +106,26 @@ def _non_finite_path(value: Any) -> list | None:
                 return None
         except (TypeError, ValueError, OverflowError):
             pass
-        entries = enumerate(value)
+        entries, step = enumerate(value), "[{}]"
     elif isinstance(value, dict):
-        entries = value.items()
+        entries, step = value.items(), ".{}"
     else:
         return None
     for key, item in entries:
-        path = _non_finite_path(item)
-        if path is not None:
-            path.append(key)
-            return path
+        found = _non_finite(item)
+        if found:
+            return step.format(key) + found[0], found[1]
     return None
 
 
 def _reject_non_finite(doc: dict) -> None:
     """Reject JSON's NaN and Infinity literals, and integers too large for a
-    double, which no problem field can take, naming the first by its path."""
-    path = _non_finite_path(doc)
-    if path is None:
-        return
-    where, value = "", doc
-    for key in reversed(path):
-        if isinstance(value, list):
-            where += f"[{key}]"
-        else:
-            where += f".{key}" if where else key
-        value = value[key]
-    got = repr(value) if type(value) is float else "an integer beyond the double range"
-    raise ParseError(f"{_cut(where)}: expected a finite number, got {got}")
+    double, which no problem field can take, naming the first by its path.
+    doc's keys are known names, so the path starts with a ".name" step."""
+    found = _non_finite(doc)
+    if found:
+        where, what = found
+        raise ParseError(f"{_cut(where[1:])}: expected a finite number, got {what}")
 
 
 def _pair(z: complex) -> list[float]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import repeat
 from math import copysign, prod
 from typing import Sequence
 
@@ -25,35 +25,29 @@ DEFAULT_MAX_DEGREE = 100
 _ZERO_RUN = 8
 
 
-def _horner_segments(coeffs: tuple[complex, ...]) -> tuple[tuple[range, tuple[complex, ...]], ...]:
-    """Horner's steps over `coeffs` as (zeros, dense) segments, leading end first.
+def _horner_plan(coeffs: tuple[complex, ...]) -> tuple[int, tuple[complex, ...]]:
+    """Horner's steps over `coeffs` as (skip, steps), leading end first: a
+    bare acc * x `skip` times, then acc * x + c per c in `steps`.
 
-    A segment takes a bare acc * x per member of `zeros`, a stored range,
-    all in one math.prod call; then acc * x + c per c in `dense`.
-    A run of at least _ZERO_RUN zero coefficients whose lowest-degree member
-    is exactly +0j goes to `zeros`, all but that member, which stays a step
-    of `dense`; a polynomial without such a run is one segment. This is
-    bit-identical to plain Horner. Adding a zero changes only the sign of a
-    zero part, and no nonzero part of a complex product depends on the signs
-    of the zero parts of its factors: each is a sum or difference in which a
-    signed zero contributes a signed zero, and 0 * inf is nan for either
-    sign. So skipping the additions moves only zero signs, and the +0j that
-    the run's last step adds makes every zero part +0.0 on both paths.
+    Only the leading zero run is skipped: the inputs this package meets have
+    their zeros there (z^n - c). A run of at least _ZERO_RUN zeros whose
+    lowest-degree member is exactly +0j is skipped but for that member, the
+    first of `steps`. This is bit-identical to plain Horner. Adding a zero
+    changes only the sign of a zero part, and no nonzero part of a complex
+    product depends on the signs of the zero parts of its factors: each is a
+    sum or difference in which a signed zero contributes a signed zero, and
+    0 * inf is nan for either sign. So skipping the additions moves only zero
+    signs, and the +0j that the run's last step adds makes every zero part
+    +0.0 on both paths.
     """
-    segments = []
-    zeros, dense = range(0), []
-    for nonzero, group in groupby(reversed(coeffs), bool):
-        run = list(group)
-        last = run[-1]
-        signed = copysign(1.0, last.real) < 0 or copysign(1.0, last.imag) < 0
-        if nonzero or len(run) < _ZERO_RUN or signed:
-            dense += run
-            continue
-        if zeros or dense:
-            segments.append((zeros, tuple(dense)))
-        zeros, dense = range(len(run) - 1), [last]
-    segments.append((zeros, tuple(dense)))
-    return tuple(segments)
+    steps = coeffs[::-1]
+    run = next((i for i, c in enumerate(steps) if c), len(steps))
+    if run < _ZERO_RUN:
+        return 0, steps
+    last = steps[run - 1]
+    if copysign(1.0, last.real) < 0 or copysign(1.0, last.imag) < 0:
+        return 0, steps
+    return run - 1, steps[run - 1 :]
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,7 @@ class Polynomial:
                     if roots[i] == roots[j]:
                         raise DuplicateRoots(f"roots {i} and {j} are both {roots[i]}")
         if coeffs:
-            object.__setattr__(self, "_segments", _horner_segments(coeffs))
+            object.__setattr__(self, "_plan", _horner_plan(coeffs))
 
     @property
     def degree(self) -> int:
@@ -127,21 +121,21 @@ class Polynomial:
     def evaluate(self, x: complex) -> complex:
         """prod_i (x - r_i) if roots are held (relative error O(n u)), else Horner.
 
-        Horner runs over `_horner_segments`, bit-identical to one step
-        acc * x + c per coefficient. A zero run is math.prod over k copies of
-        x with acc as its start: a complex start bypasses prod's int and
-        float paths, so it is k complex products, left to right, as a loop.
+        Horner follows `_horner_plan`, bit for bit one acc * x + c per
+        coefficient. The skip is math.prod over `skip` copies of x with a
+        complex start, which bypasses prod's int and float paths: `skip`
+        complex products, left to right, as a loop.
         """
         acc = 1 + 0j
         if self.roots:
             for r in self.roots:
                 acc *= x - r
             return acc
-        for zeros, dense in self._segments:
-            if zeros:
-                acc = prod(repeat(x, len(zeros)), start=acc)
-            for c in dense:
-                acc = acc * x + c
+        skip, steps = self._plan
+        if skip:
+            acc = prod(repeat(x, skip), start=acc)
+        for c in steps:
+            acc = acc * x + c
         return acc
 
     __call__ = evaluate

@@ -40,6 +40,21 @@ def random_distinct_points(rng, n, radius=1.0, min_sep=1e-3):
     return tuple(pts)
 
 
+def compensated_sum(iterable, start=0):
+    """A stand-in for the compensated float sum() of CPython 3.12+:
+    math.fsum, which is correctly rounded."""
+    return math.fsum([start, *iterable])
+
+
+def horner_skip(poly):
+    """How many Horner steps a coefficient-held poly takes as a bare acc * x.
+    The steps it keeps must be the rest of its coefficients, leading end
+    first, signed zeros included."""
+    skip, steps = poly._plan
+    assert list(map(repr, steps)) == list(map(repr, reversed(poly.coeffs)))[skip:]
+    return skip
+
+
 @dataclass
 class CorpusInstance:
     poly: Polynomial

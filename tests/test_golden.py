@@ -24,6 +24,10 @@ from pathlib import Path
 
 import pytest
 
+import weierstrass.numerics
+import weierstrass.operator
+import weierstrass.solver
+from conftest import compensated_sum
 from weierstrass.cli import compare_sor_report, main, parse_problem, solve_report
 from weierstrass.solver import _DAMPING, run_sor
 
@@ -169,6 +173,39 @@ def test_report_is_byte_identical(name, argv):
     for i, (line, expected) in enumerate(zip(lines, golden)):
         if line != expected:
             pytest.fail(f"line {i} differs\n  got:      {line}\n  expected: {expected}")
+
+
+# ROADMAP item 20: from Python 3.12 the built-in sum() of floats is
+# compensated. Patching a compensated sum into every library module that sums
+# floats stands in for 3.12+ here. The text reports keep every byte; the JSON
+# reports print the last digits that the summation moves. An explicit
+# left-to-right sum in the library makes every case pass, and the xfail
+# marker must then go.
+ITEM_20 = "ROADMAP item 20: the JSON reports depend on how the built-in sum() adds floats"
+SUMMED = [
+    pytest.param(
+        name,
+        argv,
+        id=name,
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_20)
+        if name.endswith("-json")
+        else (),
+    )
+    for name, argv in COMMANDS
+    if "radii" not in name
+]
+
+
+@pytest.mark.parametrize("name, argv", SUMMED)
+def test_report_is_byte_identical_under_a_compensated_sum(monkeypatch, name, argv):
+    for module in (weierstrass.operator, weierstrass.solver, weierstrass.numerics):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    expected_code = json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    code, out = run_command(full_argv(argv))
+    lines = out.split("\n")
+    golden = (GOLDEN / f"{name}.out").read_text().split("\n")
+    differ = [i for i, (line, expected) in enumerate(zip(lines, golden)) if line != expected]
+    assert (code, len(lines), differ) == (expected_code, len(golden), [])
 
 
 def _stop_branch(trace) -> str:

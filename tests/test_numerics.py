@@ -6,7 +6,7 @@ import pytest
 
 import weierstrass.numerics
 import weierstrass.operator
-from conftest import random_distinct_points
+from conftest import compensated_sum, random_distinct_points
 from weierstrass import (
     ConvergenceFailure,
     NonFiniteValue,
@@ -360,19 +360,13 @@ def test_match_roots_at_p1_and_p_inf_enumerates_no_permutations(monkeypatch, p, 
                 assert sorted(perm) == list(range(n))
 
 
-def _compensated_sum(iterable, start=0):
-    """A stand-in for the compensated float sum() of CPython 3.12+:
-    math.fsum, which is correctly rounded."""
-    return math.fsum([start, *iterable])
-
-
 @pytest.mark.parametrize("shape", sorted(MATCH_SHAPES))
 def test_p1_search_matches_reference_under_a_compensated_sum(monkeypatch, shape):
     # The search bounds each branch by left-to-right partial sums but scores
     # a complete permutation with sum(), as p_norm does. Its relative margin
     # must keep the prune exact when sum() rounds differently.
     for module in (weierstrass.numerics, weierstrass.operator):
-        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     rng = random.Random(f"match-fsum-{shape}")
     for n in range(1, 9):
         computed, truth = MATCH_SHAPES[shape](rng, n)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_distinct_points, random_unit_disk
+from conftest import horner_skip, random_distinct_points, random_unit_disk
 from weierstrass import (
     DegreeTooLarge,
     DegreeTooSmall,
@@ -198,7 +198,7 @@ def test_from_roots_permutation_invariant():
 
 
 def _plain_horner(coeffs, x):
-    """One step acc * x + c per coefficient: the reference the segments must match."""
+    """One step acc * x + c per coefficient: the reference the skip must match."""
     acc = 1 + 0j
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -208,11 +208,6 @@ def _plain_horner(coeffs, x):
 def _bits(z):
     """Both parts as hex, with every NaN alike."""
     return tuple("nan" if math.isnan(part) else part.hex() for part in (z.real, z.imag))
-
-
-def _skipped(poly):
-    """How many of the Horner steps run as a bare acc * x."""
-    return sum(len(zeros) for zeros, _ in poly._segments)
 
 
 _SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
@@ -229,14 +224,17 @@ def _assert_horner_bits(poly, rng):
     "n, start, length, last, skipped",
     [
         (30, 10, 7, 0j, 0),
-        (30, 10, 8, 0j, 7),
-        (30, 10, 9, 0j, 8),
+        (30, 10, 8, 0j, 0),
+        (30, 10, 9, 0j, 0),
         (100, 1, 99, 0j, 98),
         (30, 22, 8, 0j, 7),
-        (30, 0, 9, 0j, 8),
-        (100, 0, 99, 0j, 98),
+        (30, 23, 7, 0j, 0),
+        (30, 0, 9, 0j, 0),
+        (100, 0, 99, 0j, 0),
         (30, 0, 9, complex(-0.0, 0.0), 0),
         (30, 0, 9, complex(0.0, -0.0), 0),
+        (30, 20, 10, complex(-0.0, 0.0), 0),
+        (30, 20, 10, complex(0.0, -0.0), 0),
     ],
     ids=[
         "run-7",
@@ -244,25 +242,43 @@ def _assert_horner_bits(poly, rng):
         "run-9",
         "leading-run-99",
         "leading-run-8",
+        "leading-run-7",
         "trailing-run-9",
         "trailing-run-99",
         "ends-in-minus-0-real",
         "ends-in-minus-0-imag",
+        "leading-run-ends-in-minus-0-real",
+        "leading-run-ends-in-minus-0-imag",
     ],
 )
-def test_horner_segments_match_plain_horner_bit_for_bit(n, start, length, last, skipped):
+def test_zero_runs_match_plain_horner_bit_for_bit(n, start, length, last, skipped):
     # c[start .. start + length - 1] is the run; c[start] is its last member
     # in Horner order and decides the skip. Its other members take every
-    # sign of zero, which the skip may ignore. A zero sign shows in the value
-    # only if no later step adds a nonzero part, so the runs ending in a
-    # signed zero are trailing ones.
+    # sign of zero, which the skip may ignore. Only a leading run, one that
+    # reaches c[n - 1], is skipped; interior and trailing runs take every
+    # step. A zero sign shows in the value only if no later step adds a
+    # nonzero part, so the trailing runs ending in a signed zero check that
+    # the signs survive.
     rng = random.Random(f"segments-{n}-{start}-{length}-{last!r}")
     for _ in range(4):
         coeffs = [random_unit_disk(rng) for _ in range(n)]
         run = [last] + [rng.choice(_SIGNED_ZEROS) for _ in range(length - 1)]
         coeffs[start : start + length] = run
         poly = Polynomial(coeffs=coeffs)
-        assert _skipped(poly) == skipped
+        assert horner_skip(poly) == skipped
+        _assert_horner_bits(poly, rng)
+
+
+def test_only_the_leading_zero_run_is_skipped():
+    # z^60 with a run of 10 zeros at c[50..59] and one of 20 at c[20..39]:
+    # the leading run skips 9 steps and the interior one takes all of its.
+    rng = random.Random("segments-leading-and-interior")
+    for _ in range(4):
+        coeffs = [random_unit_disk(rng) for _ in range(60)]
+        coeffs[20:40] = [0j] + [rng.choice(_SIGNED_ZEROS) for _ in range(19)]
+        coeffs[50:60] = [0j] + [rng.choice(_SIGNED_ZEROS) for _ in range(9)]
+        poly = Polynomial(coeffs=coeffs)
+        assert horner_skip(poly) == 9
         _assert_horner_bits(poly, rng)
 
 
@@ -279,14 +295,26 @@ def test_polynomials_without_a_skip_match_plain_horner_bit_for_bit(shape):
         if shape == "leading-minus-2":
             coeffs = coeffs[:1] + [0j] * (n - 1)
         poly = Polynomial.from_coefficients(coeffs, -2 if shape == "leading-minus-2" else 1)
-        assert _skipped(poly) == 0
+        assert horner_skip(poly) == 0
         _assert_horner_bits(poly, rng)
+
+
+def _leading_run_skip(coeffs):
+    """The skip that the leading-run rule gives, worked out apart from the
+    library: a run of at least 8 zeros at the leading end whose last member
+    in Horner order is +0j skips all its members but that one."""
+    run = 0
+    while run < len(coeffs) and coeffs[-1 - run] == 0:
+        run += 1
+    return run - 1 if run >= 8 and _bits(coeffs[-run]) == _bits(0j) else 0
 
 
 def test_sparse_random_coefficients_match_plain_horner_bit_for_bit():
     # Three in four coefficients are zeros of any sign, so runs of every
     # length end in every sign. Half the sets are real, so that zero parts,
-    # and their signs, last to the end.
+    # and their signs, last to the end. Every plan is checked against the
+    # rule, and enough of the seeded sets have a skipped leading run that
+    # the skip is checked against plain Horner as well.
     rng = random.Random("segments-sparse")
     skips = 0
     for i in range(200):
@@ -298,10 +326,13 @@ def test_sparse_random_coefficients_match_plain_horner_bit_for_bit():
         if i % 2:
             coeffs = [complex(c.real, 0.0) if c else c for c in coeffs]
         poly = Polynomial(coeffs=coeffs)
-        skips += _skipped(poly) > 0
+        skip = horner_skip(poly)
+        assert skip == _leading_run_skip(coeffs), coeffs
+        skips += skip > 0
         for x in rng.sample(_EDGE_X, 10) + [random_unit_disk(rng, radius=1.5) for _ in range(5)]:
             assert _bits(poly.evaluate(x)) == _bits(_plain_horner(poly.coeffs, x)), (coeffs, x)
-    assert skips >= 50
+    # 15 of the 200 seeded sets skip, and 5 more have a long run that ends signed.
+    assert skips >= 12
 
 
 _MODULI = (10.0, 1e4, 0.1, 1e-4)
@@ -320,7 +351,7 @@ def test_zero_runs_overflow_and_underflow_mid_run_like_plain_horner(n):
     # the subnormals at 1e-4, with one part ahead of the other off the axes.
     c = cmath.exp(0.3j)
     poly = Polynomial.from_coefficients([-c] + [0j] * (n - 1))
-    assert _skipped(poly) == n - 2
+    assert horner_skip(poly) == n - 2
     points = [m * cmath.exp(2j * math.pi * k / 8) for m in _MODULI for k in range(8)]
     for x in points + list(_ONE_SPECIAL_PART):
         assert _bits(poly.evaluate(x)) == _bits(_plain_horner(poly.coeffs, x)), x
