@@ -111,7 +111,10 @@ def _least_permutation(dist: list[list[float]], p: float) -> list[int] | None:
     the bound's terms are scaled by shrink = 1 - (n + 1) * 2^-51 and no
     dropped branch holds a smaller score. Exact ties (all computed or all
     true points equal) prune nothing at p = 1, and the search walks the
-    whole tree: 109,601 nodes at n = 8.
+    whole tree: 109,601 nodes at n = 8. When the table holds a NaN, a branch
+    is also dropped unless the rows after it can still take distinct unused
+    columns through usable entries (Hall's condition, by augmenting paths):
+    such a branch completes no permutation.
     """
     n = len(dist)
     summing = p == 1
@@ -125,6 +128,7 @@ def _least_permutation(dist: list[list[float]], p: float) -> list[int] | None:
     floor = max(whole(lows[:n]), whole(lows[n:]))
     rest = list(itertools.accumulate(lows[n - 1 : 0 : -1], join, initial=0.0))[::-1]
     rows = [[(j, d) for j, d in enumerate(row) if d == d] for row in dist]
+    holes = any(len(row) < n for row in rows)
     pick = list.__getitem__
     used, perm = [False] * n, [0] * n
     best: list[int] | None = None
@@ -151,6 +155,9 @@ def _least_permutation(dist: list[list[float]], p: float) -> list[int] | None:
             if bound >= best_score:
                 continue
             used[j], perm[i] = True, j
+            if holes and _augmenting_match(dist, math.inf, range(i + 1, n), used) is None:
+                used[j] = False
+                continue
             done = extend(i + 1, top)
             used[j] = False
             if done:
@@ -271,29 +278,12 @@ def _bottleneck_assignment(dist: list[list[float]]) -> list[int] | None:
     checked by Kuhn's augmenting paths; None if no threshold admits a matching."""
     n = len(dist)
     values = sorted({d for row in dist for d in row if d == d})
-
-    def matching_under(limit: float) -> list[int] | None:
-        match = [-1] * n  # match[j] = row assigned to column j
-
-        def augment(i: int, seen: list[bool]) -> bool:
-            for j in range(n):
-                if dist[i][j] <= limit and not seen[j]:
-                    seen[j] = True
-                    if match[j] == -1 or augment(match[j], seen):
-                        match[j] = i
-                        return True
-            return False
-
-        for i in range(n):
-            if not augment(i, [False] * n):
-                return None
-        return match
-
+    free = [False] * n
     lo, hi = 0, len(values) - 1
     best: list[int] | None = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        found = matching_under(values[mid])
+        found = _augmenting_match(dist, values[mid], range(n), free)
         if found is not None:
             best = found
             hi = mid - 1
@@ -305,3 +295,29 @@ def _bottleneck_assignment(dist: list[list[float]]) -> list[int] | None:
     for j, i in enumerate(best):
         perm[i] = j
     return perm
+
+
+def _augmenting_match(
+    dist: list[list[float]], limit: float, rows: Sequence[int], taken: list[bool]
+) -> list[int] | None:
+    """Kuhn's augmenting paths: give each row in `rows` its own column j with
+    dist[row][j] <= limit (never a NaN entry) and taken[j] False. Returns
+    match[j], the row given column j (-1 for none), or None when the rows
+    cannot all be placed."""
+    n = len(taken)
+    match = [-1] * n
+
+    def augment(i: int, seen: list[bool]) -> bool:
+        row = dist[i]
+        for j in range(n):
+            if row[j] <= limit and not (taken[j] or seen[j]):
+                seen[j] = True
+                if match[j] == -1 or augment(match[j], seen):
+                    match[j] = i
+                    return True
+        return False
+
+    for i in rows:
+        if not augment(i, [False] * n):
+            return None
+    return match

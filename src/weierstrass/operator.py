@@ -218,28 +218,69 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
     """W_i(z) = f(z_i) / prod_{j != i} (z_i - z_j).
 
     Vanishes exactly when z is a root vector of f. Each den_i is a direct
-    product formed row by row, its factors in ascending j. Unless `_separated`
-    rules a coincidence out in O(n log n), every pair i < j is checked as
-    row i is built, so the first coincident pair in index order is reported
-    before any later coordinate's NonFiniteValue. Overflow or a vanished
-    product raises NonFiniteValue.
+    product, its factors multiplied in ascending j. The denominators of eight
+    consecutive rows are formed in one pass over the other coordinates: the
+    points before the block, then the block's own seven others for each of
+    its rows, then the points after it. Rows past the last full block take
+    one loop each. Complex `-` and `*` never raise, so forming every den_i
+    first moves no exception. The rows are then finished in index order.
+    Unless `_separated` rules a coincidence out in O(n log n), every pair
+    i < j is checked as row i is finished, so the first coincident pair in
+    index order is reported before any later coordinate's NonFiniteValue.
+    Overflow or a vanished product raises NonFiniteValue.
     """
     pts = [complex(c) for c in z]
     n = len(pts)
     if n != poly.degree:
         raise ValueError(f"point has {n} coordinates, polynomial degree is {poly.degree}")
     checked = not _separated(pts)
-    w = []
-    for i, zi in enumerate(pts):
-        if checked:
-            _check_coincidence(pts, i)
+    dens = []
+    full = n - n % 8
+    for i in range(0, full, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = pts[i : i + 8]
+        d0 = d1 = d2 = d3 = d4 = d5 = d6 = d7 = 1 + 0j
+        for zj in pts[:i]:
+            d0 *= a0 - zj
+            d1 *= a1 - zj
+            d2 *= a2 - zj
+            d3 *= a3 - zj
+            d4 *= a4 - zj
+            d5 *= a5 - zj
+            d6 *= a6 - zj
+            d7 *= a7 - zj
+        d0 = d0 * (a0 - a1) * (a0 - a2) * (a0 - a3) * (a0 - a4) * (a0 - a5) * (a0 - a6) * (a0 - a7)
+        d1 = d1 * (a1 - a0) * (a1 - a2) * (a1 - a3) * (a1 - a4) * (a1 - a5) * (a1 - a6) * (a1 - a7)
+        d2 = d2 * (a2 - a0) * (a2 - a1) * (a2 - a3) * (a2 - a4) * (a2 - a5) * (a2 - a6) * (a2 - a7)
+        d3 = d3 * (a3 - a0) * (a3 - a1) * (a3 - a2) * (a3 - a4) * (a3 - a5) * (a3 - a6) * (a3 - a7)
+        d4 = d4 * (a4 - a0) * (a4 - a1) * (a4 - a2) * (a4 - a3) * (a4 - a5) * (a4 - a6) * (a4 - a7)
+        d5 = d5 * (a5 - a0) * (a5 - a1) * (a5 - a2) * (a5 - a3) * (a5 - a4) * (a5 - a6) * (a5 - a7)
+        d6 = d6 * (a6 - a0) * (a6 - a1) * (a6 - a2) * (a6 - a3) * (a6 - a4) * (a6 - a5) * (a6 - a7)
+        d7 = d7 * (a7 - a0) * (a7 - a1) * (a7 - a2) * (a7 - a3) * (a7 - a4) * (a7 - a5) * (a7 - a6)
+        for zj in pts[i + 8 :]:
+            d0 *= a0 - zj
+            d1 *= a1 - zj
+            d2 *= a2 - zj
+            d3 *= a3 - zj
+            d4 *= a4 - zj
+            d5 *= a5 - zj
+            d6 *= a6 - zj
+            d7 *= a7 - zj
+        dens += (d0, d1, d2, d3, d4, d5, d6, d7)
+    for i in range(full, n):
+        zi = pts[i]
         den = 1 + 0j
         for zj in pts[:i]:
             den *= zi - zj
         for zj in pts[i + 1 :]:
             den *= zi - zj
+        dens.append(den)
+    evaluate = poly.evaluate
+    w = []
+    for i, (zi, den) in enumerate(zip(pts, dens)):
+        if checked:
+            _check_coincidence(pts, i)
         try:
-            wi = poly.evaluate(zi) / den
+            wi = evaluate(zi) / den
         except ZeroDivisionError:
             raise NonFiniteValue(f"denominator product underflowed to zero at coordinate {i}")
         if not cmath.isfinite(wi):
@@ -250,9 +291,12 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
 
 #: Below this degree one loop over the pairs of each row, in `_one_pass`,
 #: beats the sorts of `_separated` and `distances`; from it on they win.
-#: On a 2-vCPU Xeon (min of 9 x 300 calls near the roots) one pass took
-#: 0.66-0.68 of the time of W plus `distances` at n = 8, 0.90-0.99 at
-#: n = 32, 0.99-1.05 at n = 36, 0.98-1.03 at n = 40 and 1.12-1.28 at n = 100.
+#: On a 2-vCPU Xeon (min of 9 x 300 calls near the roots of z^n - c, with
+#: W's eight-row blocks) one pass took, as a share of W plus `distances`,
+#: 0.64-0.70 at n = 8, 0.86-1.03 at n = 24, 0.91-1.04 at n = 28-30,
+#: 0.89-1.11 at n = 32-34, 1.01-1.17 at n = 36, 1.08-1.14 at n = 40-44 and
+#: 1.23-1.30 at n = 100. The two tie from about n = 28; from 36 on the
+#: sorts win in every round.
 _ONE_PASS_BELOW = 36
 
 

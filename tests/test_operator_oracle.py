@@ -183,10 +183,15 @@ def _quantity_outcomes(z):
     ]
 
 
+# `weierstrass_correction` forms the denominators of eight rows per pass;
+# these degrees sit on either side of whole blocks.
+BLOCK_EDGES = [15, 16, 17, 24, 36, 40, 41]
+
+
 @pytest.mark.parametrize("make_points", POINT_SETS, ids=[f.__name__[1:] for f in POINT_SETS])
 def test_kernels_match_reference_bit_for_bit(make_points):
     rng = random.Random(f"oracle/{make_points.__name__}")
-    for n in list(range(2, 13)) + [rng.randint(13, 99) for _ in range(6)] + [100]:
+    for n in list(range(2, 13)) + [rng.randint(13, 99) for _ in range(6)] + [100] + BLOCK_EDGES:
         z = make_points(rng, n)
         poly = Polynomial.from_coefficients([random_unit_disk(rng) for _ in range(n)])
         assert _outcome(distances, z) == _outcome(reference_distances, z)
@@ -223,6 +228,57 @@ def test_degenerate_inputs_match_reference(z):
     assert _outcome(weierstrass_correction, poly, z) == _outcome(reference_correction, poly, z)
     for got, expected in _quantity_outcomes(z):
         assert got == expected
+
+
+def _ring(n, **points):
+    """n points on the unit circle, with the named rows (`at3=...`) replaced."""
+    z = [cmath.exp(2j * math.pi * (k + 0.25) / n) for k in range(n)]
+    for key, value in points.items():
+        z[int(key[2:])] = value
+    return z
+
+
+# Rows 8-15 form the second block of eight. W_i overflows where z_i = 1e200;
+# a repeated point is a coincident pair, so `_separated` is False and every
+# row is checked as it is finished: the lower row decides which error wins.
+SECOND_BLOCK = {
+    "overflow-in-block-1-before-pair-8-13": (
+        _ring(17, at2=1e200, at13=_ring(17)[8]),
+        ("NonFiniteValue", "correction overflowed at coordinate 2"),
+    ),
+    "pair-9-12-before-overflow-in-block-2": (
+        _ring(18, at12=_ring(18)[9], at14=1e200),
+        ("DistinctCoordinatesViolated", "coordinates 9 and 12 coincide (separation 0)"),
+    ),
+    "overflow-in-block-2-before-pair-11-15": (
+        _ring(19, at10=-1e200j, at15=_ring(19)[11]),
+        ("NonFiniteValue", "correction overflowed at coordinate 10"),
+    ),
+    "pair-8-15-before-overflow-past-the-blocks": (
+        _ring(20, at15=_ring(20)[8], at17=1e200),
+        ("DistinctCoordinatesViolated", "coordinates 8 and 15 coincide (separation 0)"),
+    ),
+    "overflow-past-the-blocks-after-pair-10-14": (
+        _ring(20, at14=_ring(20)[10], at18=1e200),
+        ("DistinctCoordinatesViolated", "coordinates 10 and 14 coincide (separation 0)"),
+    ),
+    "underflow-in-block-1-before-pair-9-11": (
+        [1e-50 * k for k in range(8)] + _ring(10, at3=_ring(10)[1]),
+        ("NonFiniteValue", "denominator product underflowed to zero at coordinate 0"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "z, expected", SECOND_BLOCK.values(), ids=SECOND_BLOCK.keys()
+)
+def test_second_block_errors_match_reference(z, expected):
+    poly = Polynomial.from_coefficients([0.5] * len(z))
+    assert not _separated([complex(c) for c in z])
+    assert _outcome(weierstrass_correction, poly, z) == expected
+    assert _outcome(reference_correction, poly, z) == expected
+    for got, want in _quantity_outcomes(z):
+        assert got == want
 
 
 DEGENERATE_PARTS = (NAN, INF, -INF, 0.0, -0.0, 1e-310, 1e-300, 1e307, -1e307)
