@@ -362,7 +362,7 @@ def test_match_roots_at_p1_and_p_inf_enumerates_no_permutations(monkeypatch, p, 
 
 
 def _search_nodes(computed, truth, p):
-    """match_roots' result and the number of calls to the search's `extend`."""
+    """`_outcome` of match_roots, and the number of calls to the search's `extend`."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -372,10 +372,10 @@ def _search_nodes(computed, truth, p):
 
     sys.setprofile(profile)
     try:
-        result = match_roots(computed, truth, p)
+        outcome = _outcome(match_roots, computed, truth, p)
     finally:
         sys.setprofile(None)
-    return result, calls
+    return outcome, calls
 
 
 @pytest.mark.parametrize("p", [1, math.inf])
@@ -385,14 +385,12 @@ def test_search_drops_branches_that_no_nan_free_permutation_completes(p):
     # that could not place the rows left, 13,708, 4,254 and 1,966 nodes on
     # these seeds, before it met its first permutation; the median over 185
     # seeds of the shape is 9. Hall's condition on the usable entries drops
-    # those subtrees (9 nodes each now), and the oracle tests pin the results.
+    # those subtrees (9 nodes each now).
     for seed in (150, 116, 80):
         computed, truth = _with_non_finite(random.Random(seed), 8)
         assert any(abs(a - b) != abs(a - b) for a in computed for b in truth), seed
-        result, nodes = _search_nodes(computed, truth, p)
-        assert _outcome(lambda *args: result, computed, truth, p) == _outcome(
-            _reference_match, computed, truth, p
-        ), seed
+        outcome, nodes = _search_nodes(computed, truth, p)
+        assert outcome == _outcome(_reference_match, computed, truth, p), seed
         assert nodes <= 20, (seed, nodes)
 
 

@@ -230,48 +230,45 @@ def test_degenerate_inputs_match_reference(z):
         assert got == expected
 
 
-def _ring(n, **points):
-    """n points on the unit circle, with the named rows (`at3=...`) replaced."""
+def _ring_case(n, big, pair):
+    """n points on the unit circle, but z_big = 1e200, whose W overflows, and
+    z_j = z_i for pair = (i, j), a coincident pair."""
     z = [cmath.exp(2j * math.pi * (k + 0.25) / n) for k in range(n)]
-    for key, value in points.items():
-        z[int(key[2:])] = value
+    z[big] = 1e200
+    i, j = pair
+    z[j] = z[i]
     return z
 
 
-# Rows 8-15 form the second block of eight. W_i overflows where z_i = 1e200;
-# a repeated point is a coincident pair, so `_separated` is False and every
-# row is checked as it is finished: the lower row decides which error wins.
+# Rows 8-15 form the second block of eight. A coincident pair makes
+# `_separated` False, so every row is checked as it is finished: the lower
+# row decides which error wins.
 SECOND_BLOCK = {
     "overflow-in-block-1-before-pair-8-13": (
-        _ring(17, at2=1e200, at13=_ring(17)[8]),
+        _ring_case(17, 2, (8, 13)),
         ("NonFiniteValue", "correction overflowed at coordinate 2"),
     ),
     "pair-9-12-before-overflow-in-block-2": (
-        _ring(18, at12=_ring(18)[9], at14=1e200),
+        _ring_case(18, 14, (9, 12)),
         ("DistinctCoordinatesViolated", "coordinates 9 and 12 coincide (separation 0)"),
     ),
     "overflow-in-block-2-before-pair-11-15": (
-        _ring(19, at10=-1e200j, at15=_ring(19)[11]),
+        _ring_case(19, 10, (11, 15)),
         ("NonFiniteValue", "correction overflowed at coordinate 10"),
     ),
     "pair-8-15-before-overflow-past-the-blocks": (
-        _ring(20, at15=_ring(20)[8], at17=1e200),
+        _ring_case(20, 17, (8, 15)),
         ("DistinctCoordinatesViolated", "coordinates 8 and 15 coincide (separation 0)"),
     ),
-    "overflow-past-the-blocks-after-pair-10-14": (
-        _ring(20, at14=_ring(20)[10], at18=1e200),
-        ("DistinctCoordinatesViolated", "coordinates 10 and 14 coincide (separation 0)"),
-    ),
+    # Rows 0-7 are 1e-50 apart, so den_0 underflows to zero.
     "underflow-in-block-1-before-pair-9-11": (
-        [1e-50 * k for k in range(8)] + _ring(10, at3=_ring(10)[1]),
+        [1e-50 * k for k in range(8)] + [2, 3j, -1, 3j, -2j, 1 + 1j, 2 - 1j, -1 - 1j, 0.5],
         ("NonFiniteValue", "denominator product underflowed to zero at coordinate 0"),
     ),
 }
 
 
-@pytest.mark.parametrize(
-    "z, expected", SECOND_BLOCK.values(), ids=SECOND_BLOCK.keys()
-)
+@pytest.mark.parametrize("z, expected", SECOND_BLOCK.values(), ids=SECOND_BLOCK.keys())
 def test_second_block_errors_match_reference(z, expected):
     poly = Polynomial.from_coefficients([0.5] * len(z))
     assert not _separated([complex(c) for c in z])
