@@ -128,7 +128,7 @@ def _least_permutation(dist: list[list[float]], p: float) -> list[int] | None:
     floor = max(whole(lows[:n]), whole(lows[n:]))
     rest = list(itertools.accumulate(lows[n - 1 : 0 : -1], join, initial=0.0))[::-1]
     rows = [[(j, d) for j, d in enumerate(row) if d == d] for row in dist]
-    holes = any(len(row) < n for row in rows)
+    has_nan = any(len(row) < n for row in rows)
     pick = list.__getitem__
     used, perm = [False] * n, [0] * n
     best: list[int] | None = None
@@ -155,7 +155,7 @@ def _least_permutation(dist: list[list[float]], p: float) -> list[int] | None:
             if bound >= best_score:
                 continue
             used[j], perm[i] = True, j
-            if holes and _augmenting_match(dist, math.inf, range(i + 1, n), used) is None:
+            if has_nan and _augmenting_match(dist, math.inf, range(i + 1, n), used) is None:
                 used[j] = False
                 continue
             done = extend(i + 1, top)

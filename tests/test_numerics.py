@@ -381,11 +381,11 @@ def _search_nodes(computed, truth, p):
 @pytest.mark.parametrize("p", [1, math.inf])
 def test_search_drops_branches_that_no_nan_free_permutation_completes(p):
     # One computed and one true point with a non-finite part make a row and
-    # a column partly NaN. The search used to walk every subtree of row 0
-    # that could not place the rows left, 13,708, 4,254 and 1,966 nodes on
-    # these seeds, before it met its first permutation; the median over 185
-    # seeds of the shape is 9. Hall's condition on the usable entries drops
-    # those subtrees (9 nodes each now).
+    # a column partly NaN. Pruned by its bound alone, the search walks every
+    # subtree of row 0 that cannot place the rows left before it meets its
+    # first permutation: 13,708, 4,254 and 1,966 nodes on these seeds, where
+    # the median over 185 seeds of the shape is 9. Hall's condition on the
+    # usable entries drops those subtrees, and each seed takes 9 nodes.
     for seed in (150, 116, 80):
         computed, truth = _with_non_finite(random.Random(seed), 8)
         assert any(abs(a - b) != abs(a - b) for a in computed for b in truth), seed
