@@ -22,7 +22,7 @@ class DuplicateRoots(WeierstrassError):
 
 
 class DistinctCoordinatesViolated(WeierstrassError):
-    """Two coordinates of a point coincide (or are closer than the overflow floor)."""
+    """Two coordinates of a point coincide, or are closer than COINCIDENCE_FLOOR."""
 
 
 class NonFiniteValue(WeierstrassError):

@@ -8,19 +8,16 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import sub
 from typing import Sequence, Union
 
 from .errors import DistinctCoordinatesViolated, InvalidExponent, NonFiniteValue
 from .polynomial import Polynomial
 
-#: Coordinate pairs closer than this are rejected outright: the difference is
-#: mathematically legal but its reciprocal products overflow double precision.
+#: `distances` rejects coordinate pairs closer than this: E = ||W/d||_p
+#: divides each W_i by d_i, and below the floor that overflows once |W_i|
+#: exceeds about 1.8e8. W's finiteness test already catches a product that
+#: overflows or vanishes, and only then does W look for such a pair.
 COINCIDENCE_FLOOR = 1e-300
-
-#: Parts of modulus at most this keep every difference of two coordinates,
-#: and its modulus (at most 2 * sqrt(2) * 1e307), finite.
-_PART_LIMIT = 1e307
 
 _MIN_NORMAL = sys.float_info.min
 
@@ -175,43 +172,19 @@ def distances(z: Sequence[complex]) -> tuple[tuple[float, ...], float]:
 
 
 def _check_coincidence(pts: list[complex], i: int) -> None:
-    """Raise for the first j > i with |z_i - z_j| < COINCIDENCE_FLOOR."""
+    """Raise for the first j > i with |z_i - z_j| < COINCIDENCE_FLOOR.
+
+    Both callers overwrite a stale errno first, W by its complex division and
+    `distances` by a finite abs(), so abs() of a difference with a NaN part
+    gives NaN here, not the OverflowError of a stale ERANGE (see `_moduli`).
+    """
     zi = pts[i]
     for j in range(i + 1, len(pts)):
-        diff = zi - pts[j]
-        try:
-            sep = abs(diff)
-        except OverflowError:
-            # A NaN part under a stale errno (see `_moduli`) is no coincidence.
-            if diff == diff:
-                raise
-            continue
+        sep = abs(zi - pts[j])
         if sep < COINCIDENCE_FLOOR:
             raise DistinctCoordinatesViolated(
                 f"coordinates {i} and {j} coincide (separation {sep:.3g})"
             )
-
-
-def _separated(pts: list[complex]) -> bool:
-    """True when no computed |z_i - z_j| can fall below COINCIDENCE_FLOOR or
-    overflow, which lets `weierstrass_correction` skip its per-pair check.
-
-    It holds when every part is finite and at most _PART_LIMIT in modulus, and
-    the sorted real parts, or the sorted imaginary parts, are each at least
-    COINCIDENCE_FLOOR apart. Rounding is monotone, so every computed
-    difference of two parts is at least one computed gap between neighbours,
-    and abs() of a complex never falls below the modulus of either part.
-    """
-    if not all(map(cmath.isfinite, pts)):
-        return False
-    xs = sorted([z.real for z in pts])
-    ys = sorted([z.imag for z in pts])
-    if max(-xs[0], xs[-1], -ys[0], ys[-1]) > _PART_LIMIT:
-        return False
-    return (
-        min(map(sub, xs[1:], xs), default=math.inf) >= COINCIDENCE_FLOOR
-        or min(map(sub, ys[1:], ys), default=math.inf) >= COINCIDENCE_FLOOR
-    )
 
 
 def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]:
@@ -224,16 +197,17 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
     its rows, then the points after it. Rows past the last full block take
     one loop each. Complex `-` and `*` never raise, so forming every den_i
     first moves no exception. The rows are then finished in index order.
-    Unless `_separated` rules a coincidence out in O(n log n), every pair
-    i < j is checked as row i is finished, so the first coincident pair in
-    index order is reported before any later coordinate's NonFiniteValue.
-    Overflow or a vanished product raises NonFiniteValue.
+    When W_i is not finite, or den_i vanished, the pairs of rows 0..i are
+    checked in index order: the first pair closer than COINCIDENCE_FLOOR
+    raises DistinctCoordinatesViolated, and otherwise row i raises
+    NonFiniteValue. Coordinates closer than the floor whose rows are all
+    finite get the formula's values; `distances`, which `certificate_quantity`
+    runs after W, rejects them.
     """
     pts = [complex(c) for c in z]
     n = len(pts)
     if n != poly.degree:
         raise ValueError(f"point has {n} coordinates, polynomial degree is {poly.degree}")
-    checked = not _separated(pts)
     dens = []
     full = n - n % 8
     for i in range(0, full, 8):
@@ -277,26 +251,32 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
     evaluate = poly.evaluate
     w = []
     for i, (zi, den) in enumerate(zip(pts, dens)):
-        if checked:
-            _check_coincidence(pts, i)
         try:
             wi = evaluate(zi) / den
         except ZeroDivisionError:
-            raise NonFiniteValue(f"denominator product underflowed to zero at coordinate {i}")
+            raise _first_fault(pts, i, "denominator product underflowed to zero")
         if not cmath.isfinite(wi):
-            raise NonFiniteValue(f"correction overflowed at coordinate {i}")
+            raise _first_fault(pts, i, "correction overflowed")
         w.append(wi)
     return tuple(w)
 
 
-#: Below this degree one loop over the pairs of each row, in `_one_pass`,
-#: beats the sorts of `_separated` and `distances`; from it on they win.
-#: On a 2-vCPU Xeon (min of 9 x 300 calls near the roots of z^n - c, with
-#: W's eight-row blocks) one pass took, as a share of W plus `distances`,
-#: 0.64-0.70 at n = 8, 0.86-1.03 at n = 24, 0.91-1.04 at n = 28-30,
-#: 0.89-1.11 at n = 32-34, 1.01-1.17 at n = 36, 1.08-1.14 at n = 40-44 and
-#: 1.23-1.30 at n = 100. The two tie from about n = 28; from 36 on the
-#: sorts win in every round.
+def _first_fault(pts: list[complex], i: int, what: str) -> NonFiniteValue:
+    """Raise for the first coincident pair in rows 0..i, else return the
+    NonFiniteValue for row i of W."""
+    for h in range(i + 1):
+        _check_coincidence(pts, h)
+    return NonFiniteValue(f"{what} at coordinate {i}")
+
+
+#: Below this degree `_one_pass`'s one loop over the pairs of each row runs
+#: in place of W and `distances`. On a 2-vCPU Xeon (min of 9 x 300 calls near
+#: the roots of z^n - c, W with eight-row blocks and no sort) one pass took,
+#: as a share of W plus `distances`, 0.81-0.83 at n = 8, 0.86-0.90 at 12,
+#: 0.91-0.96 at 16, 0.96-1.02 at 20, 1.03-1.12 at 24, 0.97-1.10 at 28-30,
+#: 1.00-1.20 at 32-34, 1.06-1.18 at 36, 1.11-1.21 at 40-44 and 1.21-1.26 at
+#: 100. The two tie near n = 20, so the switch could move down to about 24
+#: (ROADMAP item 1); from 36 on W and `distances` win in every round.
 _ONE_PASS_BELOW = 36
 
 

@@ -127,6 +127,8 @@ def test_p_norm_of_a_nan_entry_is_nan(call, p):
 
 def test_distances_of_a_nan_coordinate(call):
     assert call(distances, NAN_POINT) == ((math.inf, 1.0, 1.0), 1.0)
+    with pytest.raises(DistinctCoordinatesViolated, match="coordinates 0 and 2"):
+        call(distances, [0, complex(math.nan, 0), 1e-310])
 
 
 def test_correction_at_a_nan_coordinate(call):

@@ -1,10 +1,12 @@
 """The operator kernels against their all-pairs reference formulas, bit for bit.
 
-`weierstrass_correction` skips its per-pair coincidence check when the
-sorted parts of the points rule a coincidence out, and `distances` sweeps the
+`weierstrass_correction` forms its denominators eight rows per pass and
+looks for a coincident pair only when a row fails, and `distances` sweeps the
 finite points in real-part order. Both promise the exact doubles, and the
-exact exceptions, of the direct formulas below, except that `distances`
-raises OverflowError only for a pair its sweep visits.
+exact exceptions, of the direct formulas below, with two exceptions:
+`distances` raises OverflowError only for a pair its sweep visits, and W
+returns the formula's values for coordinates closer than COINCIDENCE_FLOOR
+when every row is finite, leaving that pair to `distances`.
 
 Below degree `_ONE_PASS_BELOW`, `certificate_quantity` forms W, d and delta
 in one loop per row instead; it promises the doubles, and the exceptions, of
@@ -12,6 +14,7 @@ in one loop per row instead; it promises the doubles, and the exceptions, of
 """
 
 import cmath
+import json
 import math
 import random
 
@@ -22,16 +25,22 @@ from weierstrass import (
     DistinctCoordinatesViolated,
     NonFiniteValue,
     Polynomial,
+    aposteriori_bound,
     certificate_quantity,
+    certify,
     distances,
+    h_wangzhao,
     p_norm,
+    run_sor,
     weierstrass_correction,
 )
-from weierstrass.operator import COINCIDENCE_FLOOR, _ONE_PASS_BELOW, _one_pass, _separated
+from weierstrass.cli import main, parse_problem
+from weierstrass.operator import COINCIDENCE_FLOOR, _ONE_PASS_BELOW, _one_pass
 
 
-def reference_correction(poly, z):
-    """W_i(z) = f(z_i) / prod_{j != i} (z_i - z_j), one row at a time."""
+def reference_correction(poly, z, floor=COINCIDENCE_FLOOR):
+    """W_i(z) = f(z_i) / prod_{j != i} (z_i - z_j), one row at a time,
+    rejecting pairs closer than `floor` (none when it is 0)."""
     pts = [complex(c) for c in z]
     if len(pts) != poly.degree:
         raise ValueError(f"point has {len(pts)} coordinates, polynomial degree is {poly.degree}")
@@ -42,7 +51,7 @@ def reference_correction(poly, z):
             if j == i:
                 continue
             diff = zi - zj
-            if abs(diff) < COINCIDENCE_FLOOR:
+            if floor and abs(diff) < floor:
                 raise DistinctCoordinatesViolated(
                     f"coordinates {i} and {j} coincide (separation {abs(diff):.3g})"
                 )
@@ -240,9 +249,9 @@ def _ring_case(n, big, pair):
     return z
 
 
-# Rows 8-15 form the second block of eight. A coincident pair makes
-# `_separated` False, so every row is checked as it is finished: the lower
-# row decides which error wins.
+# Rows 8-15 form the second block of eight. Each input has a failing row and
+# a coincident pair: W looks for the pair in every row up to the failing one,
+# so the lower row decides which error wins.
 SECOND_BLOCK = {
     "overflow-in-block-1-before-pair-8-13": (
         _ring_case(17, 2, (8, 13)),
@@ -271,11 +280,31 @@ SECOND_BLOCK = {
 @pytest.mark.parametrize("z, expected", SECOND_BLOCK.values(), ids=SECOND_BLOCK.keys())
 def test_second_block_errors_match_reference(z, expected):
     poly = Polynomial.from_coefficients([0.5] * len(z))
-    assert not _separated([complex(c) for c in z])
     assert _outcome(weierstrass_correction, poly, z) == expected
     assert _outcome(reference_correction, poly, z) == expected
     for got, want in _quantity_outcomes(z):
         assert got == want
+
+
+# Rows 0-2 are finite, so only a failing row sends W looking for the pair,
+# and it must look in every row up to that one, not in that row alone.
+FAILING_ROW = {
+    "pair-0-1-before-overflow-at-3": (
+        [0, 1e-310, 2, 1e200],
+        ("DistinctCoordinatesViolated", "coordinates 0 and 1 coincide (separation 1e-310)"),
+    ),
+    "overflow-at-0-before-pair-1-2": (
+        [1e200, 0, 1e-310, 2],
+        ("NonFiniteValue", "correction overflowed at coordinate 0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("z, expected", FAILING_ROW.values(), ids=FAILING_ROW.keys())
+def test_a_failing_row_reports_the_first_fault_in_index_order(z, expected):
+    poly = Polynomial.from_coefficients([0.5] * 4)
+    assert _outcome(weierstrass_correction, poly, z) == expected
+    assert _outcome(fused_quantity, poly, z, 2) == expected
 
 
 DEGENERATE_PARTS = (NAN, INF, -INF, 0.0, -0.0, 1e-310, 1e-300, 1e307, -1e307)
@@ -331,9 +360,9 @@ def _outcome_with_overflow(f, *args):
 
 BELOW_FLOOR = math.nextafter(COINCIDENCE_FLOOR, 0)
 
-# Inputs on either side of the test that lets `weierstrass_correction` skip
-# the coincidence check: finite parts of modulus at most 1e307, and sorted
-# real (or imaginary) parts at least COINCIDENCE_FLOOR apart.
+# Inputs at the edges of COINCIDENCE_FLOOR and of the double range: pairs
+# whose parts are equal, at the floor or just below it, moduli that overflow,
+# and a NaN beside a coincident pair.
 SEPARATION_BOUNDARY = {
     # One real part for all: only the imaginary parts are apart.
     "equal-real-parts": [complex(0.25, y) for y in (-1, 0.5, 2, -0.75, 3)],
@@ -357,17 +386,24 @@ SEPARATION_BOUNDARY = {
     ],
     "real-gap-below-floor": [0, BELOW_FLOOR, 1],
     "real-gap-below-floor-apart": [1j, complex(BELOW_FLOOR, -1), complex(2, 1)],
-    # sorted() leaves a NaN where it stood, and 1e-310 after it: only an
-    # explicit finiteness test sees the pair (0, 3) as unchecked.
+    # W_2 is NaN, so W looks for a pair in rows 0-2 and finds (0, 3).
     "nan-hides-coincident-pair": [0, 2, NAN, 1e-310],
 }
 
 
-@pytest.mark.parametrize("z", SEPARATION_BOUNDARY.values(), ids=SEPARATION_BOUNDARY.keys())
-def test_separation_boundary_matches_reference(z):
+@pytest.mark.parametrize("name", SEPARATION_BOUNDARY)
+def test_separation_boundary_matches_reference(name):
+    z = SEPARATION_BOUNDARY[name]
     poly = Polynomial.from_coefficients([0.5] * len(z))
     got = _outcome_with_overflow(weierstrass_correction, poly, z)
-    assert got == _outcome_with_overflow(reference_correction, poly, z)
+    expected = _outcome_with_overflow(reference_correction, poly, z)
+    if name == "real-gap-below-floor":
+        # Every row is finite, so W gives the formula's values and leaves the
+        # pair (0, 1) to `distances`, which raises what the reference W did.
+        assert got == _outcome(reference_correction, poly, z, 0.0)
+        assert _outcome(distances, z) == expected
+    else:
+        assert got == expected
     for got, expected in _quantity_outcomes(z):
         assert got == expected
 
@@ -383,26 +419,44 @@ def test_distances_raise_only_for_a_pair_the_sweep_visits():
         certificate_quantity(Polynomial.from_coefficients([0.5] * 3), z, 2)
 
 
-SEPARATED = {
-    "real-gap-at-floor": ([0, COINCIDENCE_FLOOR, 1], True),
-    "real-gap-below-floor": ([0, BELOW_FLOOR, 1], False),
-    # The imaginary parts alone can separate, as can the real parts alone.
-    "equal-real-parts": ([complex(0.25, y) for y in (-1, 0.5, 2)], True),
-    "real-gaps-at-floor-equal-imag": (
-        [1j, complex(COINCIDENCE_FLOOR, 1), complex(2 * COINCIDENCE_FLOOR, -1)],
-        True,
-    ),
-    "conjugates-and-real-axis": ([1 + 1j, 1 - 1j, 0.3, -0.7], False),
-    # Parts of modulus up to 1e307, and not one ulp more.
-    "parts-at-1e307": ([complex(-1e307, 1), complex(1e307, -1e307), 1e307j], True),
-    "real-part-above-1e307": ([0, math.nextafter(1e307, INF)], False),
-    "imag-part-above-1e307": ([0, complex(1, -math.nextafter(1e307, INF))], False),
-    "infinite-part": ([0, 1, INF], False),
-    "nan-hides-coincident-pair": ([0, 2, NAN, 1e-310], False),
-    "nan-imag-part": ([0, 1, complex(2, NAN)], False),
+# Coordinates 0 and 1 are closer than COINCIDENCE_FLOOR, yet every row of W
+# is finite, so W returns its values and the floor is left to `distances`.
+# At n = 40 `certificate_quantity` runs W and `distances` without `_one_pass`.
+_CIRCLE = [[0.5 * math.cos(2 * math.pi * k / 39), 0.5 * math.sin(2 * math.pi * k / 39)]
+           for k in range(39)]
+FINITE_BELOW_FLOOR = {
+    "real-gap-below-floor": {
+        "coefficients": [[0.5, 0]] * 3,
+        "initial": [[0, 0], [BELOW_FLOOR, 0], [1, 0]],
+    },
+    "finite-pair-1e-310-apart": {
+        "roots": [[1e-20, 0], [1, 1], [-1, 0]],
+        "initial": [[0, 0], [1e-310, 0], [2, 0]],
+    },
+    "finite-pair-1e-310-apart-at-n-40": {
+        "roots": [[1e-20, 0]] + _CIRCLE,
+        "initial": [[0, 0], [1e-310, 0]] + _CIRCLE[1:],
+    },
 }
 
 
-@pytest.mark.parametrize("z, separated", SEPARATED.values(), ids=SEPARATED.keys())
-def test_separated_at_its_boundaries(z, separated):
-    assert _separated([complex(c) for c in z]) is separated
+@pytest.mark.parametrize("doc", FINITE_BELOW_FLOOR.values(), ids=FINITE_BELOW_FLOOR.keys())
+def test_every_entry_point_keeps_the_floor(doc, tmp_path, capsys):
+    problem = parse_problem(doc)
+    poly, z = problem.poly, problem.z0
+    assert _outcome(weierstrass_correction, poly, z)[0] == "ok"
+    expected = _outcome(reference_correction, poly, z)
+    assert expected[0] == "DistinctCoordinatesViolated"
+    for entry in (
+        lambda: certificate_quantity(poly, z, 2),
+        lambda: certify(poly, z, 2),
+        lambda: h_wangzhao(poly, z),
+        lambda: aposteriori_bound(poly, z, 2, 0.1),
+        lambda: run_sor(poly, z),
+    ):
+        assert _outcome(entry) == expected
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc) + "\n")
+    for command in ("certify", "solve"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {expected[1]}\n")
