@@ -419,6 +419,47 @@ def test_distances_raise_only_for_a_pair_the_sweep_visits():
         certificate_quantity(Polynomial.from_coefficients([0.5] * 3), z, 2)
 
 
+# Inputs at the edges of COINCIDENCE_FLOOR, of parts of modulus 1e307 and of
+# the finite doubles, each marked with whether it holds a pair closer than
+# the floor. `distances` owns the floor: it must raise for exactly those
+# inputs, as the all-pairs scan does.
+FLOOR_EDGES = {
+    "real-gap-at-floor": ([0, COINCIDENCE_FLOOR, 1], False),
+    "real-gap-below-floor": ([0, BELOW_FLOOR, 1], True),
+    # The imaginary parts alone can separate, as can the real parts alone.
+    "equal-real-parts": ([complex(0.25, y) for y in (-1, 0.5, 2)], False),
+    "real-gaps-at-floor-equal-imag": (
+        [1j, complex(COINCIDENCE_FLOOR, 1), complex(2 * COINCIDENCE_FLOOR, -1)],
+        False,
+    ),
+    "conjugates-and-real-axis": ([1 + 1j, 1 - 1j, 0.3, -0.7], False),
+    "parts-at-1e307": ([complex(-1e307, 1), complex(1e307, -1e307), 1e307j], False),
+    "real-part-above-1e307": ([0, math.nextafter(1e307, INF)], False),
+    "imag-part-above-1e307": ([0, complex(1, -math.nextafter(1e307, INF))], False),
+    "infinite-part": ([0, 1, INF], False),
+    "nan-hides-coincident-pair": ([0, 2, NAN, 1e-310], True),
+    "nan-imag-part": ([0, 1, complex(2, NAN)], False),
+}
+
+
+@pytest.mark.parametrize("z, below_floor", FLOOR_EDGES.values(), ids=FLOOR_EDGES.keys())
+def test_distances_keep_the_floor_at_its_edges(z, below_floor):
+    got = _outcome_with_overflow(distances, z)
+    assert got == _outcome_with_overflow(reference_distances, z)
+    assert (got[0] == "DistinctCoordinatesViolated") is below_floor
+    # W agrees with the reference, except that a pair below the floor with
+    # every row finite gets the formula's values.
+    poly = Polynomial.from_coefficients([0.5] * len(z))
+    expected = _outcome_with_overflow(reference_correction, poly, z)
+    if expected[0] == "DistinctCoordinatesViolated":
+        floorless = _outcome_with_overflow(reference_correction, poly, z, 0.0)
+        if floorless[0] == "ok":
+            expected = floorless
+    assert _outcome_with_overflow(weierstrass_correction, poly, z) == expected
+    for got, want in _quantity_outcomes(z):
+        assert got == want
+
+
 # Coordinates 0 and 1 are closer than COINCIDENCE_FLOOR, yet every row of W
 # is finite, so W returns its values and the floor is left to `distances`.
 # At n = 40 `certificate_quantity` runs W and `distances` without `_one_pass`.
