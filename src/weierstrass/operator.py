@@ -191,12 +191,19 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
     """W_i(z) = f(z_i) / prod_{j != i} (z_i - z_j).
 
     Vanishes exactly when z is a root vector of f. Each den_i is a direct
-    product, its factors multiplied in ascending j. The denominators of eight
-    consecutive rows are formed in one pass over the other coordinates: the
-    points before the block, then the block's own seven others for each of
-    its rows, then the points after it. Rows past the last full block take
-    one loop each. Complex `-` and `*` never raise, so forming every den_i
-    first moves no exception. The rows are then finished in index order.
+    product, its factors multiplied in ascending j. The denominators are
+    formed eight rows per pass: a block's rows start from their column
+    products, take the block's own seven others, then each later z_j, and
+    z_j's column product is multiplied by the eight a_k - z_j, left to
+    right, so each pair is subtracted once. Those are the negated factors
+    z_j - a_k and rounding is symmetric in sign, so a column product is the
+    direct one but for the sign of a zero part, exact or underflowed (a - b
+    and b - a are both +0 where a = b). That sign reaches only zeros, so a
+    den_i with a zero part is formed again by the one-row loop. Rows past
+    the last full block start that loop from their column products; points
+    on one line, where every den_i has a zero part, take it from the start.
+    Complex `-` and `*` never raise, so forming every den_i first moves no
+    exception. The rows are then finished in index order.
     When W_i is not finite, or den_i vanished, the pairs of rows 0..i are
     checked in index order: the first pair closer than COINCIDENCE_FLOOR
     raises DistinctCoordinatesViolated, and otherwise row i raises
@@ -210,18 +217,12 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
         raise ValueError(f"point has {n} coordinates, polynomial degree is {poly.degree}")
     dens = []
     full = n - n % 8
+    if all(c.imag == pts[0].imag for c in pts) or all(c.real == pts[0].real for c in pts):
+        full = 0
+    cols = [1 + 0j] * n
     for i in range(0, full, 8):
         a0, a1, a2, a3, a4, a5, a6, a7 = pts[i : i + 8]
-        d0 = d1 = d2 = d3 = d4 = d5 = d6 = d7 = 1 + 0j
-        for zj in pts[:i]:
-            d0 *= a0 - zj
-            d1 *= a1 - zj
-            d2 *= a2 - zj
-            d3 *= a3 - zj
-            d4 *= a4 - zj
-            d5 *= a5 - zj
-            d6 *= a6 - zj
-            d7 *= a7 - zj
+        d0, d1, d2, d3, d4, d5, d6, d7 = cols[i : i + 8]
         d0 = d0 * (a0 - a1) * (a0 - a2) * (a0 - a3) * (a0 - a4) * (a0 - a5) * (a0 - a6) * (a0 - a7)
         d1 = d1 * (a1 - a0) * (a1 - a2) * (a1 - a3) * (a1 - a4) * (a1 - a5) * (a1 - a6) * (a1 - a7)
         d2 = d2 * (a2 - a0) * (a2 - a1) * (a2 - a3) * (a2 - a4) * (a2 - a5) * (a2 - a6) * (a2 - a7)
@@ -230,27 +231,32 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
         d5 = d5 * (a5 - a0) * (a5 - a1) * (a5 - a2) * (a5 - a3) * (a5 - a4) * (a5 - a6) * (a5 - a7)
         d6 = d6 * (a6 - a0) * (a6 - a1) * (a6 - a2) * (a6 - a3) * (a6 - a4) * (a6 - a5) * (a6 - a7)
         d7 = d7 * (a7 - a0) * (a7 - a1) * (a7 - a2) * (a7 - a3) * (a7 - a4) * (a7 - a5) * (a7 - a6)
-        for zj in pts[i + 8 :]:
-            d0 *= a0 - zj
-            d1 *= a1 - zj
-            d2 *= a2 - zj
-            d3 *= a3 - zj
-            d4 *= a4 - zj
-            d5 *= a5 - zj
-            d6 *= a6 - zj
-            d7 *= a7 - zj
+        for j in range(i + 8, n):
+            zj = pts[j]
+            x0 = a0 - zj
+            x1 = a1 - zj
+            x2 = a2 - zj
+            x3 = a3 - zj
+            x4 = a4 - zj
+            x5 = a5 - zj
+            x6 = a6 - zj
+            x7 = a7 - zj
+            d0 *= x0
+            d1 *= x1
+            d2 *= x2
+            d3 *= x3
+            d4 *= x4
+            d5 *= x5
+            d6 *= x6
+            d7 *= x7
+            cols[j] = cols[j] * x0 * x1 * x2 * x3 * x4 * x5 * x6 * x7
         dens += (d0, d1, d2, d3, d4, d5, d6, d7)
-    for i in range(full, n):
-        zi = pts[i]
-        den = 1 + 0j
-        for zj in pts[:i]:
-            den *= zi - zj
-        for zj in pts[i + 1 :]:
-            den *= zi - zj
-        dens.append(den)
+    dens += [_row_product(pts, i, cols[i], full) for i in range(full, n)]
     evaluate = poly.evaluate
     w = []
     for i, (zi, den) in enumerate(zip(pts, dens)):
+        if full and not (den.real and den.imag):
+            den = _row_product(pts, i, 1 + 0j, 0)
         try:
             wi = evaluate(zi) / den
         except ZeroDivisionError:
@@ -259,6 +265,16 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
             raise _first_fault(pts, i, "correction overflowed")
         w.append(wi)
     return tuple(w)
+
+
+def _row_product(pts: list[complex], i: int, den: complex, lo: int) -> complex:
+    """den times z_i - z_j for j from lo to i - 1, then for j > i, in ascending j."""
+    zi = pts[i]
+    for zj in pts[lo:i]:
+        den *= zi - zj
+    for zj in pts[i + 1 :]:
+        den *= zi - zj
+    return den
 
 
 def _first_fault(pts: list[complex], i: int, what: str) -> NonFiniteValue:
@@ -270,14 +286,13 @@ def _first_fault(pts: list[complex], i: int, what: str) -> NonFiniteValue:
 
 
 #: Below this degree `_one_pass`'s one loop over the pairs of each row runs
-#: in place of W and `distances`. On a 2-vCPU Xeon (min of 9 x 300 calls near
-#: the roots of z^n - c, W with eight-row blocks and no sort) one pass took,
-#: as a share of W plus `distances`, 0.81-0.83 at n = 8, 0.86-0.90 at 12,
-#: 0.91-0.96 at 16, 0.96-1.02 at 20, 1.03-1.12 at 24, 0.97-1.10 at 28-30,
-#: 1.00-1.20 at 32-34, 1.06-1.18 at 36, 1.11-1.21 at 40-44 and 1.21-1.26 at
-#: 100. The two tie near n = 20, so the switch could move down to about 24
-#: (ROADMAP item 1); from 36 on W and `distances` win in every round.
-_ONE_PASS_BELOW = 36
+#: in place of W and `distances`. On a 2-vCPU Xeon (two sets of runs, each
+#: the median of 5 rounds of the min of 9 x 100 calls near the roots of
+#: z^n - c, coefficient- and root-held) one pass took, as a share of W plus
+#: `distances`, 0.93-0.98 at n = 16, 0.96-1.01 at 18, 0.99-1.05 at 20-22,
+#: 1.06-1.13 at 24, 1.07-1.12 at 26-28 and 1.10-1.17 at 30-35: from 24 on
+#: W and `distances` win.
+_ONE_PASS_BELOW = 24
 
 
 def _one_pass(

@@ -1,12 +1,16 @@
 """The operator kernels against their all-pairs reference formulas, bit for bit.
 
-`weierstrass_correction` forms its denominators eight rows per pass and
-looks for a coincident pair only when a row fails, and `distances` sweeps the
-finite points in real-part order. Both promise the exact doubles, and the
-exact exceptions, of the direct formulas below, with two exceptions:
-`distances` raises OverflowError only for a pair its sweep visits, and W
-returns the formula's values for coordinates closer than COINCIDENCE_FLOOR
-when every row is finite, leaving that pair to `distances`.
+`weierstrass_correction` forms its denominators eight rows per pass, takes
+each pair's difference once for both of its rows, forms any denominator with
+a zero part again one row at a time (points on one line, from the start one
+row at a time), and looks for a coincident pair only
+when a row fails; `distances` sweeps the finite points in real-part order.
+Both promise the exact doubles, and the exact exceptions, of the direct
+formulas below, with two exceptions: `distances` raises OverflowError only
+for a pair its sweep visits, and W returns the formula's values for
+coordinates closer than COINCIDENCE_FLOOR when every row is finite, leaving
+that pair to `distances`. `_bits` compares float.hex strings, which keep the
+sign of a zero.
 
 Below degree `_ONE_PASS_BELOW`, `certificate_quantity` forms W, d and delta
 in one loop per row instead; it promises the doubles, and the exceptions, of
@@ -193,8 +197,9 @@ def _quantity_outcomes(z):
 
 
 # `weierstrass_correction` forms the denominators of eight rows per pass;
-# these degrees sit on either side of whole blocks.
-BLOCK_EDGES = [15, 16, 17, 24, 36, 40, 41]
+# these degrees sit on either side of whole blocks, and from 23 on carry
+# column products across two to four blocks, with 0-7 rows left over.
+BLOCK_EDGES = [15, 16, 17, 24, 36, 40, 41, 23, 25, 31, 32, 33]
 
 
 @pytest.mark.parametrize("make_points", POINT_SETS, ids=[f.__name__[1:] for f in POINT_SETS])
@@ -205,6 +210,116 @@ def test_kernels_match_reference_bit_for_bit(make_points):
         poly = Polynomial.from_coefficients([random_unit_disk(rng) for _ in range(n)])
         assert _outcome(distances, z) == _outcome(reference_distances, z)
         assert _outcome(weierstrass_correction, poly, z) == _outcome(reference_correction, poly, z)
+
+
+def _real_line(rng, n):
+    # Imaginary parts +0.0 and -0.0: equal as parts, with different signs.
+    return [complex(rng.uniform(-2, 2), rng.choice((0.0, -0.0))) for _ in range(n)]
+
+
+def _integer_grid(rng, n):
+    side = math.isqrt(n - 1) + 1
+    cells = rng.sample(range(side * side), n)
+    return [complex(c % side - side // 2, c // side - side // 2) for c in cells]
+
+
+# Coordinates that share a real or an imaginary part make a zero part in some
+# a_k - z_j, whose negation is -0 where z_j - a_k is +0. A column product
+# built from such differences can differ from the direct product in the sign
+# of a zero part. Points on one line give every den_i a zero part, so W takes
+# the one-row loop for them from the start; elsewhere it forms each den_i
+# with a zero part again, one row at a time. Real-valued data (real
+# coefficients, real roots) keeps zero parts in f(z_i) too, where that sign
+# reaches W: with neither rule, W on the real line gives some zero parts the
+# other sign.
+SHARED_PARTS = [_real_line, _equal_real_parts, _conjugate_symmetric, _integer_grid]
+
+
+@pytest.mark.parametrize("make_points", SHARED_PARTS, ids=[f.__name__[1:] for f in SHARED_PARTS])
+def test_shared_parts_match_reference_bit_for_bit(make_points):
+    rng = random.Random(f"shared-parts/{make_points.__name__}")
+    for n in (16, 17, 24, 40):
+        for _ in range(8):
+            z = make_points(rng, n)
+            for poly in (
+                Polynomial.from_coefficients([complex(rng.uniform(-1, 1)) for _ in range(n)]),
+                Polynomial.from_roots(make_points(rng, n)),
+            ):
+                assert _outcome(weierstrass_correction, poly, z) == _outcome(
+                    reference_correction, poly, z
+                ), (n, z)
+
+
+# Two inputs on which a column product gives den_i a zero part of the other
+# sign while f(z_i) = 0 (the polynomial's roots are the points), so that sign
+# reaches W_i; W passes only by forming den_i again. UNDERFLOWED_ZERO_PART has
+# distinct real and distinct imaginary parts, from 1e-305 to 1e-12 in
+# modulus: z_8's product underflows into a zero imaginary part (the direct
+# one is -2.17e-314+0j), which a test of the coordinates for shared parts
+# misses. In the 5 x 5 integer grid centred at 0, in a seeded order, z_24 = -1
+# lies on the real axis, about which the grid is symmetric, so den_24 is
+# exactly real (-12480000-0j).
+UNDERFLOWED_ZERO_PART = [
+    3.034994521651443e-82 - 7.469091956534828e-32j,
+    3.8733564601426725e-209 + 2.0162502749646464e-22j,
+    1.586753119960753e-143 - 3.7467812115609873e-16j,
+    4.03013890440531e-156 + 1.2918768830287286e-78j,
+    -1.2311971584446678e-305 + 2.12960293863413e-52j,
+    6.167428299465149e-90 + 7.595846539789748e-137j,
+    -3.554492123866803e-12 + 7.1036913685290655e-118j,
+    6.949462833611999e-168 - 6.382020236427653e-16j,
+    -5.2864321273192726e-195 + 2.7746428209737688e-207j,
+]
+
+
+def _shuffled_grid():
+    z = [complex(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    random.Random(4).shuffle(z)
+    return z
+
+
+ZERO_PART_CASES = {
+    "underflowed": (UNDERFLOWED_ZERO_PART, 8, ("0x0.0p+0", "-0x0.0p+0")),
+    "grid-axis": (_shuffled_grid(), 24, ("-0x0.0p+0", "0x0.0p+0")),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_PART_CASES)
+def test_a_zero_part_of_den_matches_reference(case):
+    z, row, w_row = ZERO_PART_CASES[case]
+    poly = Polynomial.from_roots(z)
+    expected = _outcome(reference_correction, poly, z)
+    assert expected[0] == "ok" and expected[1][row] == w_row
+    assert _outcome(weierstrass_correction, poly, z) == expected
+
+
+def all_pairs_quantity(poly, z, p):
+    """W, d, delta and E from the all-pairs formulas alone."""
+    w = reference_correction(poly, z)
+    d, delta = reference_distances(z)
+    return w, d, delta, p_norm([wi / di for wi, di in zip(w, d)], p)
+
+
+@pytest.mark.parametrize("n", [16, 17, 24, 33, 40, 64, 100])
+def test_range_edges_match_reference(n):
+    # Distinct coordinates scaled by target^(1/(n-1)), so that |den_i|
+    # straddles the subnormal range and the overflow threshold.
+    rng = random.Random(f"range-edge/{n}")
+    for exponent in (-322, -315, -308, -301, 301, 308):
+        scale = 10.0 ** (exponent / (n - 1))
+        z = [scale * c for c in _unit_disk_cloud(rng, n)]
+        roots = [c * (1 + 1e-3 * random_unit_disk(rng)) for c in z]
+        for poly in (
+            Polynomial.from_roots(roots),
+            Polynomial.from_coefficients([10.0**exponent * random_unit_disk(rng)] + [0j] * (n - 1)),
+        ):
+            assert _outcome_with_overflow(weierstrass_correction, poly, z) == (
+                _outcome_with_overflow(reference_correction, poly, z)
+            ), (n, exponent)
+            assert _outcome_with_overflow(distances, z) == _outcome_with_overflow(reference_distances, z)
+            assert _outcome_with_overflow(fused_quantity, poly, z, 2) == (
+                _outcome_with_overflow(all_pairs_quantity, poly, z, 2)
+            ), (n, exponent)
 
 
 NAN = float("nan")
