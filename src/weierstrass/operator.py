@@ -200,8 +200,7 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
     direct one but for the sign of a zero part, exact or underflowed (a - b
     and b - a are both +0 where a = b). That sign reaches only zeros, so a
     den_i with a zero part is formed again by the one-row loop. Rows past
-    the last full block start that loop from their column products; points
-    on one line, where every den_i has a zero part, take it from the start.
+    the last full block start that loop from their column products.
     Complex `-` and `*` never raise, so forming every den_i first moves no
     exception. The rows are then finished in index order.
     When W_i is not finite, or den_i vanished, the pairs of rows 0..i are
@@ -217,8 +216,6 @@ def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[comp
         raise ValueError(f"point has {n} coordinates, polynomial degree is {poly.degree}")
     dens = []
     full = n - n % 8
-    if all(c.imag == pts[0].imag for c in pts) or all(c.real == pts[0].real for c in pts):
-        full = 0
     cols = [1 + 0j] * n
     for i in range(0, full, 8):
         a0, a1, a2, a3, a4, a5, a6, a7 = pts[i : i + 8]
@@ -290,9 +287,11 @@ def _first_fault(pts: list[complex], i: int, what: str) -> NonFiniteValue:
 #: the median of 5 rounds of the min of 9 x 100 calls near the roots of
 #: z^n - c, coefficient- and root-held) one pass took, as a share of W plus
 #: `distances`, 0.93-0.98 at n = 16, 0.96-1.01 at 18, 0.99-1.05 at 20-22,
-#: 1.06-1.13 at 24, 1.07-1.12 at 26-28 and 1.10-1.17 at 30-35: from 24 on
-#: W and `distances` win.
-_ONE_PASS_BELOW = 24
+#: 1.06-1.13 at 24, 1.07-1.12 at 26-28 and 1.10-1.17 at 30-35. The switch
+#: stays at 36: with it at 24, alternated `cli-batch` runs read a higher
+#: `latency_ms_tail` in one set and a higher `peak_rss_mb` in both
+#: (ROADMAP item 1).
+_ONE_PASS_BELOW = 36
 
 
 def _one_pass(

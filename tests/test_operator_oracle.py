@@ -2,8 +2,7 @@
 
 `weierstrass_correction` forms its denominators eight rows per pass, takes
 each pair's difference once for both of its rows, forms any denominator with
-a zero part again one row at a time (points on one line, from the start one
-row at a time), and looks for a coincident pair only
+a zero part again one row at a time, and looks for a coincident pair only
 when a row fails; `distances` sweeps the finite points in real-part order.
 Both promise the exact doubles, and the exact exceptions, of the direct
 formulas below, with two exceptions: `distances` raises OverflowError only
@@ -226,12 +225,11 @@ def _integer_grid(rng, n):
 # Coordinates that share a real or an imaginary part make a zero part in some
 # a_k - z_j, whose negation is -0 where z_j - a_k is +0. A column product
 # built from such differences can differ from the direct product in the sign
-# of a zero part. Points on one line give every den_i a zero part, so W takes
-# the one-row loop for them from the start; elsewhere it forms each den_i
-# with a zero part again, one row at a time. Real-valued data (real
-# coefficients, real roots) keeps zero parts in f(z_i) too, where that sign
-# reaches W: with neither rule, W on the real line gives some zero parts the
-# other sign.
+# of a zero part, so W forms each den_i with a zero part again, one row at a
+# time; points on one line give every den_i a zero part. Real-valued data
+# (real coefficients, real roots) keeps zero parts in f(z_i) too, where that
+# sign reaches W: without the rule, W on the real line gives some zero parts
+# the other sign.
 SHARED_PARTS = [_real_line, _equal_real_parts, _conjugate_symmetric, _integer_grid]
 
 
