@@ -166,25 +166,26 @@ def distances(z: Sequence[complex]) -> tuple[tuple[float, ...], float]:
         d[order[a]] = best
     delta = min(d)
     if delta < COINCIDENCE_FLOOR:
-        for i in range(n):
-            _check_coincidence(pts, i)
+        _check_coincidence(pts, n)
     return tuple(d), delta
 
 
-def _check_coincidence(pts: list[complex], i: int) -> None:
-    """Raise for the first j > i with |z_i - z_j| < COINCIDENCE_FLOOR.
+def _check_coincidence(pts: list[complex], rows: int) -> None:
+    """Raise for the first pair in index order, row i < rows against each
+    j > i, with |z_i - z_j| < COINCIDENCE_FLOOR.
 
     Both callers overwrite a stale errno first, W by its complex division and
     `distances` by a finite abs(), so abs() of a difference with a NaN part
     gives NaN here, not the OverflowError of a stale ERANGE (see `_moduli`).
     """
-    zi = pts[i]
-    for j in range(i + 1, len(pts)):
-        sep = abs(zi - pts[j])
-        if sep < COINCIDENCE_FLOOR:
-            raise DistinctCoordinatesViolated(
-                f"coordinates {i} and {j} coincide (separation {sep:.3g})"
-            )
+    for i in range(rows):
+        zi = pts[i]
+        for j in range(i + 1, len(pts)):
+            sep = abs(zi - pts[j])
+            if sep < COINCIDENCE_FLOOR:
+                raise DistinctCoordinatesViolated(
+                    f"coordinates {i} and {j} coincide (separation {sep:.3g})"
+                )
 
 
 def weierstrass_correction(poly: Polynomial, z: Sequence[complex]) -> tuple[complex, ...]:
@@ -277,8 +278,7 @@ def _row_product(pts: list[complex], i: int, den: complex, lo: int) -> complex:
 def _first_fault(pts: list[complex], i: int, what: str) -> NonFiniteValue:
     """Raise for the first coincident pair in rows 0..i, else return the
     NonFiniteValue for row i of W."""
-    for h in range(i + 1):
-        _check_coincidence(pts, h)
+    _check_coincidence(pts, i + 1)
     return NonFiniteValue(f"{what} at coordinate {i}")
 
 
@@ -301,10 +301,10 @@ def _one_pass(
     bit for bit, from one loop per row: each difference z_i - z_j, in
     ascending j, is multiplied into den_i and its modulus taken into d_i.
 
-    Returns None wherever either of them could raise, so that the caller
-    runs them and the exception, its message and which one comes first are
-    theirs. A non-finite z_i needs no test of its own: it makes W_i
-    non-finite.
+    Returns None on a wrong length, an overflowed modulus or a zero den_i,
+    and after the loop on delta < COINCIDENCE_FLOOR or a non-finite W_i,
+    wherever W or `distances` could raise, so that the caller runs them and
+    the exception, its message and which one comes first are theirs.
     """
     pts = [complex(c) for c in z]
     if len(pts) != poly.degree:
@@ -320,16 +320,14 @@ def _one_pass(
                 sep = abs(diff)
                 if sep < near:
                     near = sep
-            if near < COINCIDENCE_FLOOR or not den:
-                return None
-            wi = poly.evaluate(zi) / den
-            if not cmath.isfinite(wi):
-                return None
-            w.append(wi)
+            w.append(poly.evaluate(zi) / den)
             d.append(near)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return None
-    return tuple(w), tuple(d), min(d)
+    delta = min(d)
+    if delta < COINCIDENCE_FLOOR or not all(map(cmath.isfinite, w)):
+        return None
+    return tuple(w), tuple(d), delta
 
 
 def certificate_quantity(poly: Polynomial, z: Sequence[complex], p: NormLike) -> OperatorData:
@@ -337,7 +335,8 @@ def certificate_quantity(poly: Polynomial, z: Sequence[complex], p: NormLike) ->
 
     E is always formed from the coordinate-wise ratios W_i/d_i; the looser
     ||W||_p / delta value (which it never exceeds) is left to the caller.
-    Below degree _ONE_PASS_BELOW, W, d and delta come from `_one_pass`.
+    Below degree _ONE_PASS_BELOW they come from `_one_pass`; elsewhere, or
+    where it gives up, W runs and then `distances`, and an exception is theirs.
     """
     norm = as_norm(p)
     one_pass = _one_pass(poly, z) if len(z) < _ONE_PASS_BELOW else None

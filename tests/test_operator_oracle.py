@@ -501,6 +501,9 @@ SEPARATION_BOUNDARY = {
     "real-gap-below-floor-apart": [1j, complex(BELOW_FLOOR, -1), complex(2, 1)],
     # W_2 is NaN, so W looks for a pair in rows 0-2 and finds (0, 3).
     "nan-hides-coincident-pair": [0, 2, NAN, 1e-310],
+    # W_0 is NaN, so W looks no further than row 0, but the one-pass kernel
+    # meets the overflowing abs() of z_1 - z_2 in row 1.
+    "nan-row-before-abs-overflow": [NAN, complex(1.5e308, 1.5e308), 0, 1],
 }
 
 
