@@ -301,10 +301,10 @@ def _one_pass(
     bit for bit, from one loop per row: each difference z_i - z_j, in
     ascending j, is multiplied into den_i and its modulus taken into d_i.
 
-    Returns None on a wrong length, an overflowed modulus or a zero den_i,
-    and after the loop on delta < COINCIDENCE_FLOOR or a non-finite W_i,
-    wherever W or `distances` could raise, so that the caller runs them and
-    the exception, its message and which one comes first are theirs.
+    Returns None, so that the caller runs W and `distances` and every
+    exception is theirs, on a wrong length, an overflowed modulus or a zero
+    den_i, and after the loop on delta < COINCIDENCE_FLOOR or a non-finite
+    W_i: together these cover every input on which either of them raises.
     """
     pts = [complex(c) for c in z]
     if len(pts) != poly.degree:
